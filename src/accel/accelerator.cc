@@ -71,31 +71,53 @@ Accelerator::configure(const AcceleratorConfig &config)
                                                         hierarchy_, ports_);
     }
     // Flat per-PE busy table: mapped slots key by virtual position,
-    // unmapped slots get one private key each past pe_invalid_base_.
+    // unmapped slots get one private key each past the mapped range.
+    const size_t n = config_.slots.size();
     int max_rc = -1;
     for (const PeSlot &slot : config_.slots)
         if (slot.pos.valid())
             max_rc = std::max(max_rc,
                               slot.pos.r * config_.cols + slot.pos.c);
-    pe_invalid_base_ = size_t(max_rc + 1);
+    const size_t pe_invalid_base = size_t(max_rc + 1);
     pe_free_.assign(instances_.size(),
-                    std::vector<uint64_t>(pe_invalid_base_ +
-                                              config_.slots.size(),
-                                          0));
-    iter_out_.assign(config_.slots.size(), 0);
-    iter_done_.assign(config_.slots.size(), 0);
-    iter_taken_.assign(config_.slots.size(), 0);
-    slot_imm_.resize(config_.slots.size());
-    for (size_t i = 0; i < config_.slots.size(); ++i) {
-        const PeSlot &slot = config_.slots[i];
-        auto ov = config_.imm_overrides.find(slot.node);
-        slot_imm_[i] =
-            ov != config_.imm_overrides.end() ? ov->second
-                                              : slot.inst.imm;
-    }
+                    std::vector<uint64_t>(pe_invalid_base + n, 0));
+    iter_out_.assign(n, 0);
+    iter_done_.assign(n, 0);
+    iter_taken_.assign(n, 0);
     iter_group_done_.clear();
+
+    // Compile the per-slot plan: everything the device loop needs
+    // that is fixed by the configuration.
+    plan_.assign(n, SlotPlan{});
+    guard_routes_.clear();
+    lane_bus_.clear();
+    for (size_t i = 0; i < n; ++i) {
+        const PeSlot &slot = config_.slots[i];
+        SlotPlan &sp = plan_[i];
+        sp.cls = slot.inst.cls();
+        sp.fp = sp.cls == OpClass::FpAlu || sp.cls == OpClass::FpMul ||
+                sp.cls == OpClass::FpDiv;
+        sp.pe_key = slot.pos.valid()
+                        ? size_t(slot.pos.r * config_.cols + slot.pos.c)
+                        : pe_invalid_base + i;
+        sp.latency = uint64_t(slot.op_latency);
+        sp.busy = sp.cls == OpClass::Load ? 2 : sp.latency;
+        auto ov = config_.imm_overrides.find(slot.node);
+        sp.imm = ov != config_.imm_overrides.end() ? ov->second
+                                                   : slot.inst.imm;
+        sp.src1 = route(slot.src1, i);
+        sp.src2 = route(slot.src2, i);
+        sp.prev_writer = route(slot.prev_dest_writer, i);
+        sp.guards_begin = uint32_t(guard_routes_.size());
+        for (NodeId g : slot.guards)
+            guard_routes_.push_back(route(g, i));
+        sp.guards_end = uint32_t(guard_routes_.size());
+    }
+    for (auto &inst : instances_)
+        inst.bus_free.assign(lane_bus_.size(), 0);
+    resolveSites();
     if (prof_)
-        prof_slot_.assign(config_.slots.size(), ProfSlot{});
+        prof_slot_.assign(n, ProfSlot{});
     resetCounters();
 }
 
@@ -126,6 +148,71 @@ void
 Accelerator::injectFaults(const FaultPlane &plane)
 {
     fault_plane_ = plane;
+    resolveSites();
+}
+
+Accelerator::Route
+Accelerator::route(NodeId src, size_t dst)
+{
+    Route r;
+    if (src == NoNode)
+        return r;
+    r.src = int32_t(src);
+    const Coord from = config_.slots[size_t(src)].pos;
+    const Coord to = config_.slots[dst].pos;
+    // Unmapped endpoints use the secondary data-forwarding bus
+    // (paper §3.3: mapping failures revert to a slower fallback).
+    if (!from.valid() || !to.valid()) {
+        r.fallback = true;
+        r.latency = uint64_t(params_.fallback_bus_latency);
+        return r;
+    }
+    r.latency = ic_->latency(from, to);
+    const int bus = ic_->busId(from, to);
+    if (bus >= 0) {
+        const auto it = std::find(lane_bus_.begin(), lane_bus_.end(), bus);
+        r.lane = int32_t(it - lane_bus_.begin());
+        if (it == lane_bus_.end())
+            lane_bus_.push_back(bus);
+    }
+    return r;
+}
+
+void
+Accelerator::resolveSites()
+{
+    // Installed hardware defects corrupt the values flowing through
+    // the faulty resources (see fault_plane.hh). Permanent defects
+    // are fixed per placement, so they resolve here once; transients
+    // and the stuck-branch latch stay runtime checks.
+    const size_t n = config_.slots.size();
+    for (size_t k = 0; k < instances_.size(); ++k) {
+        std::vector<SlotSite> &sites = instances_[k].sites;
+        sites.assign(n, SlotSite{});
+        for (size_t i = 0; i < n; ++i)
+            sites[i].phys = physicalPos(config_.slots[i].pos, k);
+        for (size_t i = 0; i < n; ++i) {
+            SlotSite &site = sites[i];
+            if (!site.phys.valid())
+                continue;
+            for (const PeStuckFault &f : fault_plane_.stuck_pes)
+                if (site.phys == f.pos)
+                    site.pe_xor ^= f.xor_mask;
+            auto linkXor = [&](NodeId src) -> uint32_t {
+                if (src == NoNode)
+                    return 0;
+                const Coord from = sites[size_t(src)].phys;
+                uint32_t x = 0;
+                for (const LinkFault &f : fault_plane_.dead_links)
+                    if (from.valid() && from == f.from &&
+                        site.phys == f.to)
+                        x ^= f.xor_mask;
+                return x;
+            };
+            site.link_xor1 = linkXor(config_.slots[i].src1);
+            site.link_xor2 = linkXor(config_.slots[i].src2);
+        }
+    }
 }
 
 Coord
@@ -222,7 +309,8 @@ Accelerator::runIteration(Instance &inst, AccelRunResult &result)
     const uint64_t iter_start = inst.next_floor;
     const size_t inst_index = size_t(&inst - instances_.data());
     auto &pe_free = pe_free_[inst_index];
-    const bool has_faults = !fault_plane_.empty();
+    const std::vector<TransientFault> &transients =
+        fault_plane_.transients;
     // Global iteration index within this run (all tiles), the key the
     // single-event-upset model fires on.
     const uint64_t global_iter = result.iterations;
@@ -243,13 +331,13 @@ Accelerator::runIteration(Instance &inst, AccelRunResult &result)
     // attributeIteration can walk the critical path backwards. For
     // the third (guard / forwarded-old-value) input only the
     // dominating arrival matters.
-    auto recordEdge = [&](NodeId node, int operand, NodeId src,
+    auto recordEdge = [&](size_t node, int operand, int32_t src,
                           uint64_t t0, uint64_t arr, bool noc) {
-        ProfSlot &ps = prof_slot_[size_t(node)];
+        ProfSlot &ps = prof_slot_[node];
         const int e = operand < 2 ? operand : 2;
         if (e == 2 && ps.e[2].used && ps.e[2].arr >= arr)
             return;
-        ps.e[size_t(e)] = ProfEdge{int32_t(src), t0, arr, noc, true};
+        ps.e[size_t(e)] = ProfEdge{src, t0, arr, noc, true};
     };
 
     auto groupDone = [&](int group) -> uint64_t * {
@@ -259,38 +347,19 @@ Accelerator::runIteration(Instance &inst, AccelRunResult &result)
         return nullptr;
     };
 
-    // Data transfer from a producer PE to this slot's PE, including
-    // NoC bus contention; samples the edge latency counter.
-    auto arrival = [&](NodeId src, const PeSlot &slot,
+    // Data transfer along a planned route into slot i, including NoC
+    // bus contention; samples the edge latency counter.
+    auto arrival = [&](const Route &rt, size_t i,
                        int operand) -> uint64_t {
-        const Coord from = config_.slots[size_t(src)].pos;
-        const uint64_t t0 = done[size_t(src)];
-        // Unmapped endpoints use the secondary data-forwarding bus
-        // (paper §3.3: mapping failures revert to a slower fallback).
-        if (!from.valid() || !slot.pos.valid()) {
-            const uint64_t arr =
-                t0 + uint64_t(params_.fallback_bus_latency);
-            if (operand == 0)
-                edge_latency1_[size_t(slot.node)].sample(double(arr - t0));
-            else if (operand == 1)
-                edge_latency2_[size_t(slot.node)].sample(double(arr - t0));
-            if (prof_) {
-                recordEdge(slot.node, operand, src, t0, arr, true);
-                ++prof_->fallback_transfers;
-            }
-            return arr;
-        }
-        const uint32_t base = ic_->latency(from, slot.pos);
-        const int bus = ic_->busId(from, slot.pos);
+        const uint64_t t0 = done[size_t(rt.src)];
         uint64_t start = t0;
-        if (bus >= 0) {
-            if (size_t(bus) >= inst.bus_free.size())
-                inst.bus_free.resize(size_t(bus) + 64, 0);
-            uint64_t &free = inst.bus_free[size_t(bus)];
+        if (rt.lane >= 0) {
+            uint64_t &free = inst.bus_free[size_t(rt.lane)];
             start = std::max(t0, free);
             free = start + 1;
             ++result.noc_transfers;
             if (prof_) {
+                const int bus = lane_bus_[size_t(rt.lane)];
                 prof::LinkStats &ls = prof_->links[bus];
                 ++ls.transfers;
                 ls.wait_cycles += start - t0;
@@ -300,34 +369,41 @@ Accelerator::runIteration(Instance &inst, AccelRunResult &result)
                         bus, std::make_pair(anchor.r, anchor.c));
                 }
             }
-        } else {
+        } else if (!rt.fallback) {
             ++result.local_transfers;
         }
-        const uint64_t arr = start + base;
+        const uint64_t arr = start + rt.latency;
         if (operand == 0)
-            edge_latency1_[size_t(slot.node)].sample(double(arr - t0));
+            edge_latency1_[i].sample(double(arr - t0));
         else if (operand == 1)
-            edge_latency2_[size_t(slot.node)].sample(double(arr - t0));
+            edge_latency2_[i].sample(double(arr - t0));
         if (prof_) {
-            recordEdge(slot.node, operand, src, t0, arr, bus >= 0);
-            const Coord phys = physicalPos(slot.pos, inst_index);
-            if (phys.valid() && prof_->inGrid(phys.r, phys.c))
-                ++prof_->pe_traffic[prof_->index(phys.r, phys.c)];
+            recordEdge(i, operand, rt.src, t0, arr,
+                       rt.fallback || rt.lane >= 0);
+            if (rt.fallback) {
+                ++prof_->fallback_transfers;
+            } else {
+                const Coord phys = inst.sites[i].phys;
+                if (prof_->inGrid(phys.r, phys.c))
+                    ++prof_->pe_traffic[prof_->index(phys.r, phys.c)];
+            }
         }
         return arr;
     };
 
     for (size_t i = 0; i < n; ++i) {
         const PeSlot &slot = config_.slots[i];
+        const SlotPlan &sp = plan_[i];
         const Op op = slot.inst.op;
 
         // Guards: the control network disables skipped PEs.
         bool active = true;
         uint64_t guard_arr = iter_start;
-        for (NodeId g : slot.guards) {
-            if (taken[size_t(g)])
+        for (uint32_t g = sp.guards_begin; g < sp.guards_end; ++g) {
+            const Route &rt = guard_routes_[g];
+            if (taken[size_t(rt.src)])
                 active = false;
-            guard_arr = std::max(guard_arr, arrival(g, slot, 2));
+            guard_arr = std::max(guard_arr, arrival(rt, i, 2));
         }
 
         if (!active) {
@@ -335,9 +411,9 @@ Accelerator::runIteration(Instance &inst, AccelRunResult &result)
             // dependency) so downstream consumers see it.
             uint32_t old_val = 0;
             uint64_t old_avail = iter_start;
-            if (slot.prev_dest_writer != NoNode) {
-                old_val = out[size_t(slot.prev_dest_writer)];
-                old_avail = arrival(slot.prev_dest_writer, slot, 2);
+            if (sp.prev_writer.src >= 0) {
+                old_val = out[size_t(sp.prev_writer.src)];
+                old_avail = arrival(sp.prev_writer, i, 2);
             } else if (slot.prev_dest_live_in >= 0) {
                 old_val = inst.regs[size_t(slot.prev_dest_live_in)];
                 old_avail = std::max(
@@ -359,10 +435,10 @@ Accelerator::runIteration(Instance &inst, AccelRunResult &result)
         }
 
         // Operand values and arrival cycles.
-        auto operand = [&](NodeId src, int live_in,
+        auto operand = [&](const Route &rt, int live_in,
                            int idx) -> std::pair<uint32_t, uint64_t> {
-            if (src != NoNode)
-                return {out[size_t(src)], arrival(src, slot, idx)};
+            if (rt.src >= 0)
+                return {out[size_t(rt.src)], arrival(rt, i, idx)};
             if (live_in >= 0) {
                 return {inst.regs[size_t(live_in)],
                         std::max(iter_start,
@@ -370,68 +446,46 @@ Accelerator::runIteration(Instance &inst, AccelRunResult &result)
             }
             return {0u, iter_start};
         };
-        auto [v1, a1] = operand(slot.src1, slot.live_in1, 0);
-        auto [v2, a2] = operand(slot.src2, slot.live_in2, 1);
+        auto [v1, a1] = operand(sp.src1, slot.live_in1, 0);
+        auto [v2, a2] = operand(sp.src2, slot.live_in2, 1);
 
-        // Installed hardware defects corrupt the values flowing
-        // through the faulty resources (see fault_plane.hh).
-        uint32_t fault_xor = 0;
-        if (has_faults) {
-            const Coord phys = physicalPos(slot.pos, inst_index);
-            for (const PeStuckFault &f : fault_plane_.stuck_pes)
-                if (phys.valid() && phys == f.pos)
-                    fault_xor ^= f.xor_mask;
-            for (const TransientFault &f : fault_plane_.transients)
-                if (f.slot == i && f.iteration == global_iter)
-                    fault_xor ^= f.xor_mask;
-            auto linkXor = [&](NodeId src) -> uint32_t {
-                if (src == NoNode || !phys.valid())
-                    return 0;
-                const Coord from = physicalPos(
-                    config_.slots[size_t(src)].pos, inst_index);
-                uint32_t x = 0;
-                for (const LinkFault &f : fault_plane_.dead_links)
-                    if (from.valid() && from == f.from && phys == f.to)
-                        x ^= f.xor_mask;
-                return x;
-            };
-            if (const uint32_t x = linkXor(slot.src1)) {
-                v1 ^= x;
-                ++result.faults_fired;
-            }
-            if (const uint32_t x = linkXor(slot.src2)) {
-                v2 ^= x;
-                ++result.faults_fired;
-            }
-            if (fault_xor) {
-                ++result.faults_fired;
-                // A faulty PE corrupts what it produces: the branch
-                // comparison input, the store data, or (below) the
-                // computed result.
-                if (slot.inst.cls() == OpClass::Branch)
-                    v1 ^= fault_xor;
-                else if (slot.inst.cls() == OpClass::Store)
-                    v2 ^= fault_xor;
-            }
+        // Installed hardware defects (resolved per site, see
+        // resolveSites) corrupt the values this slot sees.
+        const SlotSite &site = inst.sites[i];
+        uint32_t fault_xor = site.pe_xor;
+        for (const TransientFault &f : transients)
+            if (f.slot == i && f.iteration == global_iter)
+                fault_xor ^= f.xor_mask;
+        if (site.link_xor1) {
+            v1 ^= site.link_xor1;
+            ++result.faults_fired;
+        }
+        if (site.link_xor2) {
+            v2 ^= site.link_xor2;
+            ++result.faults_fired;
+        }
+        if (fault_xor) {
+            ++result.faults_fired;
+            // A faulty PE corrupts what it produces: the branch
+            // comparison input, the store data, or (below) the
+            // computed result.
+            if (sp.cls == OpClass::Branch)
+                v1 ^= fault_xor;
+            else if (sp.cls == OpClass::Store)
+                v2 ^= fault_xor;
         }
 
         uint64_t ready = std::max({a1, a2, guard_arr, iter_start});
         // The PE executes one instruction per iteration; pipelined
         // iterations (and time-multiplexed co-residents) reuse it
         // after the issue interval.
-        const size_t pe_key =
-            slot.pos.valid()
-                ? size_t(slot.pos.r * config_.cols + slot.pos.c)
-                : pe_invalid_base_ + i;
-        uint64_t &pe_next = pe_free[pe_key];
+        uint64_t &pe_next = pe_free[sp.pe_key];
         ready = std::max(ready, pe_next);
 
-        const int32_t imm = slot_imm_[i];
-
-        switch (slot.inst.cls()) {
+        switch (sp.cls) {
           case OpClass::Branch:
             taken[i] = riscv::branchEval(op, v1, v2);
-            if (has_faults && i == n - 1 && !taken[i]) {
+            if (i == n - 1 && !taken[i]) {
                 // Stuck control line: the closing branch always reads
                 // taken, so the loop can never exit (induced hang).
                 // Once engaged the line stays stuck — latch it so the
@@ -446,11 +500,11 @@ Accelerator::runIteration(Instance &inst, AccelRunResult &result)
                     }
                 }
             }
-            done[i] = ready + uint64_t(slot.op_latency);
+            done[i] = ready + sp.latency;
             break;
 
           case OpClass::Load: {
-            const uint32_t addr = v1 + uint32_t(imm);
+            const uint32_t addr = v1 + uint32_t(sp.imm);
             ++result.loads;
             if (slot.forward_from_store != NoNode) {
                 // Static store->load forwarding edge (paper §4.2):
@@ -492,22 +546,22 @@ Accelerator::runIteration(Instance &inst, AccelRunResult &result)
           }
 
           case OpClass::Store: {
-            const uint32_t addr = v1 + uint32_t(imm);
+            const uint32_t addr = v1 + uint32_t(sp.imm);
             inst.lsu->store(unsigned(i), addr, v2, op, ready);
             out[i] = v2; // visible to static forwarding consumers
-            done[i] = ready + uint64_t(slot.op_latency);
+            done[i] = ready + sp.latency;
             ++result.stores;
             break;
           }
 
           default:
-            out[i] = riscv::aluEval(op, v1, v2, imm, slot.inst.pc);
-            done[i] = ready + uint64_t(slot.op_latency);
+            out[i] = riscv::aluEval(op, v1, v2, sp.imm, slot.inst.pc);
+            done[i] = ready + sp.latency;
             break;
         }
 
-        if (fault_xor && slot.inst.cls() != OpClass::Branch &&
-            slot.inst.cls() != OpClass::Store) {
+        if (fault_xor && sp.cls != OpClass::Branch &&
+            sp.cls != OpClass::Store) {
             out[i] ^= fault_xor;
         }
 
@@ -518,23 +572,18 @@ Accelerator::runIteration(Instance &inst, AccelRunResult &result)
         // Activity accounting: a PE is busy for its operation's
         // service time; time a load spends waiting on the memory
         // system is LS-entry time, not PE switching activity.
-        const OpClass cls = slot.inst.cls();
-        const uint64_t busy =
-            cls == OpClass::Load ? 2 : uint64_t(slot.op_latency);
-        result.pe_busy_cycles += busy;
-        if (cls == OpClass::FpAlu || cls == OpClass::FpMul ||
-            cls == OpClass::FpDiv) {
-            result.fp_busy_cycles += busy;
-        }
+        result.pe_busy_cycles += sp.busy;
+        if (sp.fp)
+            result.fp_busy_cycles += sp.busy;
         if (prof_) {
             ProfSlot &ps = prof_slot_[i];
             ps.ready = ready;
             ps.done = done[i];
-            ps.mem = cls == OpClass::Load || cls == OpClass::Store;
-            const Coord phys = physicalPos(slot.pos, inst_index);
+            ps.mem = sp.cls == OpClass::Load || sp.cls == OpClass::Store;
+            const Coord phys = site.phys;
             if (phys.valid() && prof_->inGrid(phys.r, phys.c)) {
                 const size_t pidx = prof_->index(phys.r, phys.c);
-                prof_->pe_busy[pidx] += busy;
+                prof_->pe_busy[pidx] += sp.busy;
                 prof_->pe_wait[pidx] += ready - iter_start;
                 ++prof_->pe_ops[pidx];
             }

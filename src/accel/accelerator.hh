@@ -138,7 +138,7 @@ class Accelerator
      *  (time-multiplex fold, tile origin) before matching. */
     void injectFaults(const FaultPlane &plane);
     const FaultPlane &faultPlane() const { return fault_plane_; }
-    void clearFaults() { fault_plane_ = FaultPlane{}; }
+    void clearFaults() { injectFaults(FaultPlane{}); }
 
     /**
      * Built-in self test: exercises every PE and link with a known
@@ -171,14 +171,54 @@ class Accelerator
     void resetCounters();
 
   private:
+    /**
+     * One producer -> consumer transfer, resolved at configure(): the
+     * placement and NoC routes are fixed per configuration, so the
+     * device loop never asks the interconnect again.
+     */
+    struct Route
+    {
+        int32_t src = -1;      ///< Producer slot; -1 = no such edge.
+        int32_t lane = -1;     ///< Shared NoC bus (index into
+                               ///< lane_bus_); -1 = local link.
+        uint64_t latency = 0;  ///< Cycles on the wire after any wait.
+        bool fallback = false; ///< Unmapped endpoint: secondary bus.
+    };
+
+    /** Per-slot constants of the configured dataflow (the plan). */
+    struct SlotPlan
+    {
+        riscv::OpClass cls = riscv::OpClass::Nop;
+        bool fp = false;        ///< FP functional unit (activity).
+        size_t pe_key = 0;      ///< Index into the per-PE busy table.
+        uint64_t latency = 0;   ///< Service cycles (op_latency).
+        uint64_t busy = 0;      ///< PE switching-activity cycles.
+        int32_t imm = 0;        ///< Immediate after imm_overrides.
+        Route src1, src2;       ///< Operand 0/1 producers.
+        Route prev_writer;      ///< Forwarded old value when disabled.
+        uint32_t guards_begin = 0; ///< [begin, end) in guard_routes_.
+        uint32_t guards_end = 0;
+    };
+
+    /** One slot on one tile instance: its physical PE and the
+     *  permanent fault-plane corruption that reaches it. */
+    struct SlotSite
+    {
+        ic::Coord phys;         ///< Invalid for unmapped slots.
+        uint32_t pe_xor = 0;    ///< Stuck-at defects of the PE.
+        uint32_t link_xor1 = 0; ///< Dead link on the operand 0 hop.
+        uint32_t link_xor2 = 0; ///< Dead link on the operand 1 hop.
+    };
+
     struct Instance
     {
         std::array<uint32_t, riscv::NumUnifiedRegs> regs{};
         std::array<uint64_t, riscv::NumUnifiedRegs> reg_avail{};
         std::unique_ptr<mem::LoadStoreUnit> lsu;
-        /** Next-free cycle per NoC bus id, grown on first use; a
-         *  dense array probed once per transfer in the hot loop. */
+        /** Next-free cycle per lane (NoC bus the plan books). */
         std::vector<uint64_t> bus_free;
+        /** Per slot; rebuilt by configure() and injectFaults(). */
+        std::vector<SlotSite> sites;
         uint64_t next_floor = 0;
         uint64_t last_end = 0;
         uint64_t iterations = 0;
@@ -228,6 +268,14 @@ class Accelerator
     /** Physical PE a slot executes on for a given tile instance. */
     ic::Coord physicalPos(ic::Coord pos, size_t inst_index) const;
 
+    /** Resolve the transfer from slot @p src into slot @p dst,
+     *  giving its NoC bus a lane if it has none yet. */
+    Route route(dfg::NodeId src, size_t dst);
+
+    /** Rebuild every instance's SlotSite table for the current
+     *  configuration and fault plane. */
+    void resolveSites();
+
     const AccelParams params_;
     mem::MainMemory *memory_; ///< Rebindable (see rebindMemory).
     mem::MemHierarchy hierarchy_;
@@ -243,13 +291,15 @@ class Accelerator
 
     /** Per-PE busy tracking keyed by flattened virtual position
      *  (pipelining resource constraint; time-multiplexed nodes share
-     *  a key). Keys above pe_invalid_base_ are the per-slot fallback
-     *  keys for unmapped nodes. */
+     *  a key). Keys past the mapped range are the per-slot fallback
+     *  keys for unmapped nodes (see SlotPlan::pe_key). */
     std::vector<std::vector<uint64_t>> pe_free_; // [instance][key]
-    size_t pe_invalid_base_ = 0;
-    /** Per-slot effective immediate (imm_overrides pre-resolved at
-     *  configure time so the hot loop skips the map lookup). */
-    std::vector<int32_t> slot_imm_;
+    /** The configuration compiled for the device loop (configure). */
+    std::vector<SlotPlan> plan_;
+    std::vector<Route> guard_routes_;
+    /** Interconnect bus id of each lane, in first-booked order: the
+     *  plan's buses, numbered densely. */
+    std::vector<int> lane_bus_;
 
     // Per-iteration scratch, sized once in configure() and reused so
     // the per-cycle loop performs no heap allocation.

@@ -1,5 +1,6 @@
 #include "mem/cache.hh"
 
+#include <algorithm>
 #include <bit>
 
 #include "util/logging.hh"
@@ -21,13 +22,13 @@ Cache::Cache(std::string name, const CacheParams &params)
         fatal("cache ", name_, ": size/assoc/line geometry invalid");
     num_sets_ = lines / params_.assoc;
     line_shift_ = std::countr_zero(params_.line_bytes);
-    sets_.assign(num_sets_, std::vector<Line>(params_.assoc));
+    lines_.assign(lines, Line{});
 }
 
 size_t
-Cache::setIndex(uint32_t addr) const
+Cache::setBase(uint32_t addr) const
 {
-    return (addr >> line_shift_) % num_sets_;
+    return (addr >> line_shift_) % num_sets_ * params_.assoc;
 }
 
 uint32_t
@@ -39,14 +40,15 @@ Cache::tagOf(uint32_t addr) const
 bool
 Cache::access(uint32_t addr, bool write)
 {
-    auto &set = sets_[setIndex(addr)];
+    Line *const set = &lines_[setBase(addr)];
+    Line *const set_end = set + params_.assoc;
     const uint32_t tag = tagOf(addr);
     ++access_clock_;
 
-    for (auto &line : set) {
-        if (line.valid && line.tag == tag) {
-            line.lru = access_clock_;
-            line.dirty = line.dirty || write;
+    for (Line *line = set; line != set_end; ++line) {
+        if (line->valid && line->tag == tag) {
+            line->lru = access_clock_;
+            line->dirty = line->dirty || write;
             ++hits_;
             return true;
         }
@@ -54,14 +56,14 @@ Cache::access(uint32_t addr, bool write)
 
     // Miss: allocate, evicting the LRU way.
     ++misses_;
-    Line *victim = &set[0];
-    for (auto &line : set) {
-        if (!line.valid) {
-            victim = &line;
+    Line *victim = set;
+    for (Line *line = set; line != set_end; ++line) {
+        if (!line->valid) {
+            victim = line;
             break;
         }
-        if (line.lru < victim->lru)
-            victim = &line;
+        if (line->lru < victim->lru)
+            victim = line;
     }
     if (victim->valid && victim->dirty)
         ++writebacks_;
@@ -75,10 +77,10 @@ Cache::access(uint32_t addr, bool write)
 bool
 Cache::probe(uint32_t addr) const
 {
-    const auto &set = sets_[setIndex(addr)];
+    const Line *const set = &lines_[setBase(addr)];
     const uint32_t tag = tagOf(addr);
-    for (const auto &line : set)
-        if (line.valid && line.tag == tag)
+    for (size_t w = 0; w < params_.assoc; ++w)
+        if (set[w].valid && set[w].tag == tag)
             return true;
     return false;
 }
@@ -86,9 +88,7 @@ Cache::probe(uint32_t addr) const
 void
 Cache::flush()
 {
-    for (auto &set : sets_)
-        for (auto &line : set)
-            line = Line{};
+    std::fill(lines_.begin(), lines_.end(), Line{});
 }
 
 MemHierarchy::MemHierarchy(const HierarchyParams &params)

@@ -79,14 +79,17 @@ class Cache
         uint64_t lru = 0;  ///< Larger = more recently used.
     };
 
-    size_t setIndex(uint32_t addr) const;
+    /** Index in lines_ of the first way of @p addr's set. */
+    size_t setBase(uint32_t addr) const;
     uint32_t tagOf(uint32_t addr) const;
 
     std::string name_;
     CacheParams params_;
     size_t num_sets_;
     unsigned line_shift_;
-    std::vector<std::vector<Line>> sets_;
+    /** Set-major: set s occupies [s * assoc, (s + 1) * assoc). One
+     *  allocation however many sets the geometry has. */
+    std::vector<Line> lines_;
     uint64_t access_clock_ = 0;
 
     Counter hits_{"hits"};

@@ -36,8 +36,7 @@ void
 LoadStoreUnit::beginIteration()
 {
     store_buffer_.clear();
-    store_index_.clear();
-    store_lo_ = UINT32_MAX;
+    store_lo_ = UINT64_MAX;
     store_hi_ = 0;
 }
 
@@ -97,19 +96,14 @@ LoadStoreUnit::load(unsigned seq, uint32_t addr, Op op,
     ++loads_;
     LoadResult result;
 
-    // Store->load forwarding: find the youngest older buffered store
-    // (program order, i.e., lower seq) with an exact address match.
-    // The index holds buffer positions in push order, so the backward
-    // scan returns exactly what a full buffer walk taking the last
-    // match would.
+    // Store->load forwarding: the newest buffered store that is older
+    // in program order (lower seq) with an exact address match.
     const PendingStore *hit = nullptr;
-    if (auto idx = store_index_.find(addr); idx != store_index_.end()) {
-        const auto &positions = idx->second;
-        for (auto it = positions.rbegin(); it != positions.rend(); ++it) {
-            if (store_buffer_[*it].seq < seq) {
-                hit = &store_buffer_[*it];
-                break;
-            }
+    for (auto it = store_buffer_.rbegin(); it != store_buffer_.rend();
+         ++it) {
+        if (it->addr == addr && it->seq < seq) {
+            hit = &*it;
+            break;
         }
     }
 
@@ -162,16 +156,19 @@ LoadStoreUnit::peek(unsigned seq, uint32_t addr, Op op) const
 {
     // Memory patched with older buffered stores, so program-order
     // semantics hold even though commit is deferred to iteration end.
-    const uint32_t base = addr & ~3u;
+    // The window [base, end) is computed 64-bit: at the top of the
+    // address space base + 8 would wrap a uint32_t to 0 and hide
+    // every buffered store.
+    const uint64_t base = addr & ~3u;
+    const uint64_t end = base + 8;
     // Range reject: when the buffered-store footprint cannot reach
-    // [base, base+8) no store can match, so the patch scan (linear in
+    // [base, end) no store can match, so the patch scan (linear in
     // the buffer, once per peeked load) is skipped entirely.
-    if (store_buffer_.empty() || store_hi_ < base ||
-        store_lo_ >= base + 8)
+    if (store_buffer_.empty() || store_hi_ < base || store_lo_ >= end)
         return readMem(addr, op);
     bool patched = false;
     for (const auto &st : store_buffer_) {
-        if (st.seq < seq && st.addr >= base && st.addr < base + 8) {
+        if (st.seq < seq && st.addr >= base && st.addr < end) {
             patched = true;
             break;
         }
@@ -183,19 +180,19 @@ LoadStoreUnit::peek(unsigned seq, uint32_t addr, Op op) const
     // words covering any supported access at addr.
     uint8_t bytes[8];
     for (int i = 0; i < 8; ++i)
-        bytes[i] = mem_.read8(base + uint32_t(i));
+        bytes[i] = mem_.read8(uint32_t(base) + uint32_t(i));
     for (const auto &st : store_buffer_) {
         if (st.seq >= seq)
             continue;
         const unsigned width =
             (st.op == Op::Sb) ? 1 : (st.op == Op::Sh) ? 2 : 4;
         for (unsigned b = 0; b < width; ++b) {
-            const uint32_t a = st.addr + b;
-            if (a >= base && a < base + 8)
+            const uint64_t a = uint64_t(st.addr) + b;
+            if (a >= base && a < end)
                 bytes[a - base] = uint8_t(st.value >> (8 * b));
         }
     }
-    const unsigned off = addr - base;
+    const unsigned off = addr & 3u;
     uint32_t raw = 0;
     for (int i = 3; i >= 0; --i)
         raw = (raw << 8) | bytes[off + unsigned(i)];
@@ -213,12 +210,11 @@ LoadStoreUnit::store(unsigned seq, uint32_t addr, uint32_t value, Op op,
                      uint64_t ready_cycle)
 {
     ++stores_;
-    store_index_[addr].push_back(uint32_t(store_buffer_.size()));
     store_buffer_.push_back({seq, addr, value, op, ready_cycle});
     const unsigned width =
         (op == Op::Sb) ? 1 : (op == Op::Sh) ? 2 : 4;
-    store_lo_ = std::min(store_lo_, addr);
-    store_hi_ = std::max(store_hi_, addr + width - 1);
+    store_lo_ = std::min(store_lo_, uint64_t(addr));
+    store_hi_ = std::max(store_hi_, uint64_t(addr) + width - 1);
     amatFor(seq).sample(1.0);
 }
 
@@ -242,8 +238,7 @@ LoadStoreUnit::commitStores()
         last = std::max(last, issue + latency);
     }
     store_buffer_.clear();
-    store_index_.clear();
-    store_lo_ = UINT32_MAX;
+    store_lo_ = UINT64_MAX;
     store_hi_ = 0;
     return last;
 }

@@ -12,7 +12,6 @@
 #define MESA_MEM_LSQ_HH
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "mem/cache.hh"
@@ -150,17 +149,15 @@ class LoadStoreUnit
     MainMemory &mem_;
     MemHierarchy &hierarchy_;
     PortPool &ports_;
+    /** Buffered stores in push (program) order; a handful per
+     *  iteration, so forwarding scans it newest-first. */
     std::vector<PendingStore> store_buffer_;
-    /**
-     * addr -> indices into store_buffer_ in buffer (push) order, so
-     * forwarding finds the newest matching store with one hash probe
-     * instead of walking every buffered store per load.
-     */
-    std::unordered_map<uint32_t, std::vector<uint32_t>> store_index_;
     /** Tight [min, max] byte range covered by buffered stores; lets
-     *  peek() skip the patch scan when the load cannot overlap. */
-    uint32_t store_lo_ = UINT32_MAX;
-    uint32_t store_hi_ = 0;
+     *  peek() skip the patch scan when the load cannot overlap. Held
+     *  64-bit so a store ending at the top of the 32-bit address
+     *  space does not wrap. */
+    uint64_t store_lo_ = UINT64_MAX;
+    uint64_t store_hi_ = 0;
     /** Per-entry latency averages indexed by LDFG seq (dense, small). */
     std::vector<Average> entry_amat_;
 

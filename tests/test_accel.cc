@@ -5,12 +5,21 @@
  * bit-identical memory (and, untiled, architectural state) to the
  * functional RISC-V emulator — across kernels, optimizations, tiling,
  * and pipelining (parameterized sweep). Also covers predication,
- * store->load forwarding, vectorization, and counter behaviour.
+ * store->load forwarding, vectorization, and counter behaviour, and
+ * pins the device loop's exact outcomes on hand-built configurations
+ * (DeviceLoopGolden).
  */
+
+#include <algorithm>
+#include <bit>
+#include <map>
+#include <ostream>
 
 #include <gtest/gtest.h>
 
+#include "accel/accelerator.hh"
 #include "helpers.hh"
+#include "util/crc32.hh"
 
 namespace
 {
@@ -323,6 +332,379 @@ TEST(AccelFeatures, MeasuredCountersPopulated)
         if (accel.measuredEdgeLatency(int(i), 0) >= 0.0)
             saw_edge = true;
     EXPECT_TRUE(saw_edge);
+}
+
+// ---------------------------------------------------------------------
+// Device-loop golden: hand-built configurations driven straight on the
+// Accelerator, with every run outcome pinned to recorded constants.
+// Any change to the per-iteration loop (routing, bus booking, fault
+// matching, LSQ forwarding, cache state) that moves a modeled number
+// shows up here as a field-by-field diff.
+// ---------------------------------------------------------------------
+
+constexpr uint32_t kLoopPc = 0x1000;
+constexpr uint32_t kArrayA = 0x10000;
+constexpr uint32_t kOutOffset = 0x4000;
+constexpr int kTrips = 24;
+constexpr uint64_t kCycleBudget = 6000;
+
+accel::PeSlot
+makeSlot(int node, riscv::Op op, int rd, int32_t imm, ic::Coord pos,
+         double latency = 1.0)
+{
+    accel::PeSlot s;
+    s.node = node;
+    s.inst.op = op;
+    s.inst.rd = uint8_t(rd);
+    s.inst.imm = imm;
+    s.inst.pc = kLoopPc + 4 * uint32_t(node);
+    s.pos = pos;
+    s.op_latency = latency;
+    return s;
+}
+
+enum class Shape
+{
+    Spatial,   ///< One instance, back-to-back iterations.
+    Tiled,     ///< Two instances on disjoint row bands.
+    Pipelined, ///< Overlapped iterations.
+    Folded,    ///< Time-multiplexed: virtual rows fold onto physical.
+};
+
+/**
+ * A 13-slot loop over a[] touching every device path: a vectorized
+ * load pair, NoC transfers contending on one bus, local links, a
+ * forward branch guarding a store on an unmapped PE (fallback bus), a
+ * guarded accumulator forwarding its live-in, a guarded op forwarding
+ * an in-iteration writer, dynamic and static store->load forwarding,
+ * an FP op, a prefetch, and the closing backward branch.
+ */
+accel::AcceleratorConfig
+goldenConfig(Shape shape)
+{
+    using riscv::Op;
+    // Folded shapes place the middle of the graph on virtual rows
+    // 16.. that fold back onto physical rows 0.. of the 16-row grid.
+    const int fold = shape == Shape::Folded ? 16 : 0;
+    accel::AcceleratorConfig c;
+    c.region_start = kLoopPc;
+    c.region_end = kLoopPc + 13 * 4;
+    c.rows = 16 + fold;
+    c.cols = 8;
+    c.time_multiplex = shape == Shape::Folded ? 2 : 1;
+    c.pipelined = shape == Shape::Pipelined;
+
+    auto &s = c.slots;
+    s.push_back(makeSlot(0, Op::Lw, 5, 0, {0, 0}));
+    s[0].live_in1 = 10;
+    s[0].vector_group = 0;
+    s[0].vector_leader = true;
+    s[0].prefetch = true;
+    s[0].prefetch_stride = 64;
+    s.push_back(makeSlot(1, Op::Lw, 6, 4, {0, 1}));
+    s[1].live_in1 = 10;
+    s[1].vector_group = 0;
+    s.push_back(makeSlot(2, Op::Add, 7, 0, {5 + fold, 5}));
+    s[2].src1 = 0;
+    s[2].src2 = 1;
+    s.push_back(makeSlot(3, Op::Andi, 8, 1, {5 + fold, 6}));
+    s[3].src1 = 2;
+    s.push_back(makeSlot(4, Op::Beq, 0, 12, {6 + fold, 6}));
+    s[4].src1 = 3;
+    s.push_back(makeSlot(5, Op::Sw, 0, int32_t(kOutOffset), {}));
+    s[5].live_in1 = 10;
+    s[5].src2 = 2;
+    s[5].guards = {4};
+    s.push_back(makeSlot(6, Op::Add, 12, 0, {1, 7}));
+    s[6].live_in1 = 12;
+    s[6].src2 = 2;
+    s[6].guards = {4};
+    s[6].prev_dest_live_in = 12;
+    s.push_back(makeSlot(7, Op::Lw, 9, int32_t(kOutOffset), {2, 2}));
+    s[7].live_in1 = 10;
+    s.push_back(makeSlot(8, Op::Addi, 7, 3, {3 + fold, 3}));
+    s[8].src1 = 7;
+    s[8].guards = {4};
+    s[8].prev_dest_writer = 2;
+    s.push_back(makeSlot(9, Op::FaddS, 1, 0, {4, 4}, 4.0));
+    s[9].live_in1 = 33;
+    s[9].live_in2 = 34;
+    s.push_back(makeSlot(10, Op::Lw, 15, int32_t(kOutOffset), {2, 3}));
+    s[10].live_in1 = 10;
+    s[10].forward_from_store = 5;
+    s.push_back(makeSlot(11, Op::Addi, 10, 8, {0, 2}));
+    s[11].live_in1 = 10;
+    s.push_back(makeSlot(12, Op::Bltu, 0, -48, {7, 7}));
+    s[12].src1 = 11;
+    s[12].live_in2 = 11;
+
+    c.live_ins = {10, 11, 12, 33, 34};
+    c.live_outs = {{7, 8}, {9, 7}, {10, 11}, {12, 6}, {15, 10}, {33, 9}};
+    c.inductions = {dfg::InductionReg{10, 11, 8}};
+    if (shape == Shape::Tiled) {
+        accel::TileInstance second;
+        second.origin = {8, 0};
+        second.reg_offsets = {{10, 8}};
+        c.instances.push_back(second);
+        c.imm_overrides = {{11, 16}};
+    }
+    c.crc = accel::configCrc(c);
+    return c;
+}
+
+/** Defects on physical PEs the Spatial/Folded placements (and tile 0
+ *  of Tiled) use: the andi's PE, the leader-load -> add link, one
+ *  single-event upset, and a stuck closing branch from iteration 17. */
+accel::FaultPlane
+goldenFaults()
+{
+    accel::FaultPlane f;
+    f.stuck_pes.push_back({{5, 6}, 0x1});
+    f.dead_links.push_back({{0, 0}, {5, 5}, 0x100});
+    f.transients.push_back({9, 3, 0x80000000u});
+    f.stuck_branches.push_back({17});
+    return f;
+}
+
+void
+loadGoldenMemory(mem::MainMemory &memory)
+{
+    for (uint32_t i = 0; i < 2 * kTrips + 8; ++i)
+        memory.write32(kArrayA + 4 * i, i * 0x9E3779B9u + (i % 3));
+}
+
+riscv::ArchState
+goldenEntryState()
+{
+    riscv::ArchState s;
+    s.x[10] = kArrayA;
+    s.x[11] = kArrayA + 8 * kTrips;
+    s.x[12] = 7;
+    s.f[1] = 0x3F800000u; // 1.0f
+    s.f[2] = 0x3F000000u; // 0.5f
+    return s;
+}
+
+/** Every observable of one run, in a form that diffs field by field. */
+struct GoldenOutcome
+{
+    uint64_t cycles, iterations, completed, pe_busy_cycles,
+        fp_busy_cycles, disabled_ops, noc_transfers, local_transfers,
+        loads, stores, store_load_forwards, load_invalidations,
+        dram_accesses, pes_used, pes_total, watchdog_tripped,
+        faults_fired;
+    uint32_t latency_crc; ///< All measured node/edge latencies.
+    uint32_t state_crc;   ///< Written-back registers and pc.
+    uint32_t memory_crc;  ///< Every non-zero memory page.
+
+    bool operator==(const GoldenOutcome &) const = default;
+};
+
+std::ostream &
+operator<<(std::ostream &os, const GoldenOutcome &o)
+{
+    os << std::dec << "{" << o.cycles << ", " << o.iterations << ", "
+       << o.completed << ", " << o.pe_busy_cycles << ", "
+       << o.fp_busy_cycles << ", " << o.disabled_ops << ", "
+       << o.noc_transfers << ", " << o.local_transfers << ", " << o.loads
+       << ", " << o.stores << ", " << o.store_load_forwards << ", "
+       << o.load_invalidations << ", " << o.dram_accesses << ", "
+       << o.pes_used << ", " << o.pes_total << ", " << o.watchdog_tripped
+       << ", " << o.faults_fired << std::hex << ", 0x" << o.latency_crc
+       << ", 0x" << o.state_crc << ", 0x" << o.memory_crc << std::dec
+       << "}";
+    return os;
+}
+
+GoldenOutcome
+observe(const accel::Accelerator &device, const accel::AccelRunResult &r,
+        const riscv::ArchState &state, const mem::MainMemory &memory)
+{
+    GoldenOutcome o{r.cycles,           r.iterations,
+                    r.completed,        r.pe_busy_cycles,
+                    r.fp_busy_cycles,   r.disabled_ops,
+                    r.noc_transfers,    r.local_transfers,
+                    r.loads,            r.stores,
+                    r.store_load_forwards, r.load_invalidations,
+                    r.dram_accesses,    r.pes_used,
+                    r.pes_total,        r.watchdog_tripped,
+                    r.faults_fired,     0, 0, 0};
+    Crc32 lat;
+    for (int id = 0; id < int(device.config().size()); ++id) {
+        for (double v : {device.measuredNodeLatency(id),
+                         device.measuredEdgeLatency(id, 0),
+                         device.measuredEdgeLatency(id, 1)}) {
+            lat.add64(std::bit_cast<uint64_t>(v));
+        }
+    }
+    o.latency_crc = lat.value();
+    Crc32 st;
+    for (size_t reg = 0; reg < 32; ++reg) {
+        st.add32(state.x[reg]);
+        st.add32(state.f[reg]);
+    }
+    st.add32(state.pc);
+    o.state_crc = st.value();
+    const auto pages = memory.snapshot();
+    std::map<uint32_t, const std::vector<uint8_t> *> sorted;
+    for (const auto &[pn, bytes] : pages)
+        if (std::any_of(bytes.begin(), bytes.end(),
+                        [](uint8_t b) { return b != 0; }))
+            sorted.emplace(pn, &bytes);
+    Crc32 mc;
+    for (const auto &[pn, bytes] : sorted) {
+        mc.add32(pn);
+        mc.addBytes(bytes->data(), bytes->size());
+    }
+    o.memory_crc = mc.value();
+    return o;
+}
+
+/** When the fault plane reaches the device relative to configure(). */
+enum class Install
+{
+    None,           ///< Never: the fault-free reference.
+    BeforeConfig,   ///< injectFaults(), then configure().
+    AfterConfig,    ///< configure(), then injectFaults().
+    Cleared,        ///< Both, then clearFaults(): must equal None.
+    Reconfigured,   ///< Faults plus another config, then this one.
+};
+
+GoldenOutcome
+goldenRun(Shape shape, Install install)
+{
+    mem::MainMemory memory;
+    loadGoldenMemory(memory);
+    accel::Accelerator device(accel::AccelParams::m128(), memory);
+    const accel::AcceleratorConfig config = goldenConfig(shape);
+    switch (install) {
+      case Install::None:
+        device.configure(config);
+        break;
+      case Install::BeforeConfig:
+        device.injectFaults(goldenFaults());
+        device.configure(config);
+        break;
+      case Install::AfterConfig:
+        device.configure(config);
+        device.injectFaults(goldenFaults());
+        break;
+      case Install::Cleared:
+        device.injectFaults(goldenFaults());
+        device.configure(config);
+        device.clearFaults();
+        break;
+      case Install::Reconfigured:
+        // The plan built for one placement must not leak into the
+        // next: faults resolved against the folded/tiled layout are
+        // re-resolved for this one.
+        device.injectFaults(goldenFaults());
+        device.configure(goldenConfig(
+            shape == Shape::Folded ? Shape::Tiled : Shape::Folded));
+        device.configure(config);
+        break;
+    }
+    riscv::ArchState state = goldenEntryState();
+    const accel::AccelRunResult r =
+        device.run(state, ~uint64_t(0), kCycleBudget);
+    return observe(device, r, state, memory);
+}
+
+struct GoldenCase
+{
+    Shape shape;
+    const char *name;
+    GoldenOutcome clean;
+    GoldenOutcome faulted;
+};
+
+// Recorded from the device loop before its configure-time plan; the
+// plan must reproduce every number exactly.
+const GoldenCase kGoldenCases[] = {
+    {Shape::Spatial, "spatial",
+     {1013, 24, 1, 432, 96, 48, 144, 56, 96, 8, 32, 8, 7, 13, 128, 0, 0, 0x45f96f72, 0xf1e55f95, 0xbc5970fd},
+     {6014, 129, 0, 2553, 516, 27, 774, 378, 516, 120, 249, 120, 35, 13, 128, 1, 365, 0xf457d44e, 0xbcb935c, 0x8d433f3b}},
+    {Shape::Tiled, "tiled",
+     {701, 24, 1, 432, 96, 48, 144, 56, 96, 8, 32, 8, 7, 26, 128, 0, 0, 0x45f96f72, 0x54ba7f3, 0xbc5970fd},
+     {6001, 188, 0, 3481, 752, 279, 1128, 471, 752, 95, 283, 95, 49, 26, 128, 1, 355, 0x6d9f3839, 0x8f53388a, 0x2c619942}},
+    {Shape::Pipelined, "pipelined",
+     {334, 24, 1, 432, 96, 48, 144, 56, 96, 8, 32, 8, 7, 13, 128, 0, 0, 0x5a1c14c2, 0xf1e55f95, 0xbc5970fd},
+     {6000, 1500, 0, 29973, 6000, 27, 9000, 4491, 6000, 1491, 2991, 1491, 377, 13, 128, 1, 4478, 0x34c95c46, 0xd54872, 0x433b4caf}},
+    {Shape::Folded, "folded",
+     {1732, 24, 1, 432, 96, 48, 152, 48, 96, 8, 32, 8, 7, 13, 128, 0, 0, 0x3238ae96, 0xf1e55f95, 0xbc5970fd},
+     {6004, 77, 0, 1513, 308, 27, 530, 154, 308, 68, 145, 68, 21, 13, 128, 1, 209, 0x58c26b56, 0x51e93b5b, 0x9f8696fe}},
+};
+
+TEST(DeviceLoopGolden, RunOutcomesMatchRecorded)
+{
+    for (const GoldenCase &gc : kGoldenCases) {
+        SCOPED_TRACE(gc.name);
+        EXPECT_EQ(goldenRun(gc.shape, Install::None), gc.clean);
+        EXPECT_EQ(goldenRun(gc.shape, Install::BeforeConfig), gc.faulted);
+    }
+}
+
+TEST(DeviceLoopGolden, FaultInstallOrderIsIrrelevant)
+{
+    for (const GoldenCase &gc : kGoldenCases) {
+        SCOPED_TRACE(gc.name);
+        EXPECT_EQ(goldenRun(gc.shape, Install::AfterConfig), gc.faulted);
+        EXPECT_EQ(goldenRun(gc.shape, Install::Reconfigured), gc.faulted);
+        EXPECT_EQ(goldenRun(gc.shape, Install::Cleared), gc.clean);
+    }
+}
+
+TEST(DeviceLoopGolden, FaultPlanesReachEveryShape)
+{
+    // Guard against a vacuous pin: each shape's faults must fire and
+    // the stuck branch must turn completion into a watchdog cut.
+    for (const GoldenCase &gc : kGoldenCases) {
+        SCOPED_TRACE(gc.name);
+        EXPECT_TRUE(gc.clean.completed);
+        EXPECT_EQ(gc.clean.faults_fired, 0u);
+        EXPECT_GT(gc.faulted.faults_fired, 0u);
+        EXPECT_TRUE(gc.faulted.watchdog_tripped);
+        EXPECT_GT(gc.clean.noc_transfers, 0u);
+        EXPECT_GT(gc.clean.local_transfers, 0u);
+        EXPECT_GT(gc.clean.disabled_ops, 0u);
+        EXPECT_GT(gc.clean.store_load_forwards, 0u);
+        EXPECT_GT(gc.clean.fp_busy_cycles, 0u);
+    }
+}
+
+TEST(DeviceLoopGolden, RefaultingReplacesThePlane)
+{
+    // A second injectFaults() replaces the first; a run after
+    // clearFaults() on a device that already ran faulted is clean.
+    mem::MainMemory memory;
+    loadGoldenMemory(memory);
+    accel::Accelerator device(accel::AccelParams::m128(), memory);
+    device.configure(goldenConfig(Shape::Spatial));
+    accel::FaultPlane other;
+    other.stuck_pes.push_back({{7, 7}, 0xFF});
+    device.injectFaults(other);
+    device.injectFaults(goldenFaults());
+    riscv::ArchState state = goldenEntryState();
+    accel::AccelRunResult r = device.run(state, ~uint64_t(0), kCycleBudget);
+    EXPECT_EQ(observe(device, r, state, memory), kGoldenCases[0].faulted);
+
+    mem::MainMemory fresh;
+    loadGoldenMemory(fresh);
+    device.rebindMemory(fresh);
+    device.clearFaults();
+    device.configure(goldenConfig(Shape::Spatial));
+    state = goldenEntryState();
+    r = device.run(state, ~uint64_t(0), kCycleBudget);
+    // The hierarchy stays warm from the faulted run, so only timing
+    // may differ from the cold clean reference.
+    const GoldenOutcome warm = observe(device, r, state, fresh);
+    const GoldenOutcome &cold = kGoldenCases[0].clean;
+    EXPECT_EQ(warm.iterations, cold.iterations);
+    EXPECT_EQ(warm.completed, cold.completed);
+    EXPECT_EQ(warm.disabled_ops, cold.disabled_ops);
+    EXPECT_EQ(warm.faults_fired, 0u);
+    EXPECT_EQ(warm.state_crc, cold.state_crc);
+    EXPECT_EQ(warm.memory_crc, cold.memory_crc);
 }
 
 } // namespace

@@ -100,6 +100,53 @@ TEST(Cache, DirtyWritebacks)
     EXPECT_EQ(c.writebacks(), 1u);
 }
 
+TEST(Cache, FlatLayoutFlushAndPerSetLru)
+{
+    // 4 sets x 4 ways of 64B lines; set s holds lines whose line
+    // number is s mod 4, so 0x100 * k + 0x40 * s walks set s.
+    CacheParams p{1024, 4, 64, 1};
+    Cache c("t", p);
+    ASSERT_EQ(c.numSets(), 4u);
+    auto lineOf = [](uint32_t set, uint32_t way) {
+        return 0x100 * way + 0x40 * set;
+    };
+    for (uint32_t s = 0; s < 4; ++s)
+        for (uint32_t w = 0; w < 4; ++w)
+            EXPECT_FALSE(c.access(lineOf(s, w), w % 2 == 0));
+    for (uint32_t s = 0; s < 4; ++s)
+        for (uint32_t w = 0; w < 4; ++w)
+            EXPECT_TRUE(c.probe(lineOf(s, w)));
+
+    // Each set evicts its own LRU way, in its own order: set s
+    // re-touches every way except way s, so way s is the victim of
+    // the set's next miss and no other set loses a line.
+    for (uint32_t s = 0; s < 4; ++s) {
+        for (uint32_t w = 0; w < 4; ++w) {
+            if (w != s) {
+                EXPECT_TRUE(c.access(lineOf(s, w), false));
+            }
+        }
+    }
+    for (uint32_t s = 0; s < 4; ++s) {
+        EXPECT_FALSE(c.access(lineOf(s, 4), false));
+        for (uint32_t w = 0; w < 5; ++w)
+            EXPECT_EQ(c.probe(lineOf(s, w)), w != s)
+                << "set " << s << " way " << w;
+    }
+    // Ways 0 and 2 were written; sets 0 and 2 evicted one of them.
+    EXPECT_EQ(c.writebacks(), 2u);
+
+    c.flush();
+    for (uint32_t s = 0; s < 4; ++s)
+        for (uint32_t w = 0; w < 5; ++w)
+            EXPECT_FALSE(c.probe(lineOf(s, w)));
+    // Flushed lines are invalid, not dirty: refills write nothing back.
+    for (uint32_t s = 0; s < 4; ++s)
+        for (uint32_t w = 0; w < 5; ++w)
+            c.access(lineOf(s, w), false);
+    EXPECT_EQ(c.writebacks(), 2u);
+}
+
 TEST(Cache, BadGeometryRejected)
 {
     EXPECT_THROW((Cache("t", CacheParams{100, 3, 48, 1})),
@@ -220,6 +267,55 @@ TEST_F(LsuFixture, PeekAppliesOlderStores)
     EXPECT_EQ(lsu.peek(3, 0x3000, Op::Lw), 0xAABBCCDDu);
     EXPECT_EQ(lsu.peek(5, 0x3000, Op::Lw), 0xAABBEEDDu);
     EXPECT_EQ(lsu.peek(1, 0x3000, Op::Lw), 0x11111111u);
+}
+
+TEST_F(LsuFixture, YoungestOlderStoreForwards)
+{
+    lsu.beginIteration();
+    // Three stores to one address interleaved with another address;
+    // each carries a distinct value and ready cycle.
+    lsu.store(1, 0x7000, 101, Op::Sw, 10);
+    lsu.store(2, 0x7004, 202, Op::Sw, 20);
+    lsu.store(3, 0x7000, 303, Op::Sw, 30);
+    lsu.store(6, 0x7000, 606, Op::Sw, 60);
+    // seq 4 sees seq 3 (youngest older), never seq 6 (younger).
+    LoadResult r = lsu.load(4, 0x7000, Op::Lw, 0);
+    EXPECT_TRUE(r.forwarded);
+    EXPECT_EQ(r.value, 303u);
+    EXPECT_EQ(r.done_cycle, 31u);
+    // seq 2 sees only seq 1.
+    r = lsu.load(2, 0x7000, Op::Lw, 50);
+    EXPECT_TRUE(r.forwarded);
+    EXPECT_EQ(r.value, 101u);
+    EXPECT_EQ(r.done_cycle, 51u);
+    EXPECT_FALSE(r.invalidated);
+    // seq 7 sees seq 6; seq 1 sees none of them.
+    EXPECT_EQ(lsu.load(7, 0x7000, Op::Lw, 0).value, 606u);
+    r = lsu.load(1, 0x7000, Op::Lw, 0);
+    EXPECT_FALSE(r.forwarded);
+    EXPECT_EQ(r.value, 0u);
+    EXPECT_EQ(lsu.forwards(), 3u);
+    // A committed buffer forwards nothing.
+    lsu.commitStores();
+    r = lsu.load(9, 0x7000, Op::Lw, 0);
+    EXPECT_FALSE(r.forwarded);
+    EXPECT_EQ(r.value, 606u);
+}
+
+TEST_F(LsuFixture, SubWordStoreAtTopOfAddressSpace)
+{
+    // The peek window [base, base + 8) of 0xFFFFFFF8 ends past 2^32;
+    // it must still see the older buffered byte store.
+    lsu.beginIteration();
+    lsu.store(1, 0xFFFFFFF9u, 0xA5, Op::Sb, 0);
+    const LoadResult r = lsu.load(2, 0xFFFFFFF9u, Op::Lbu, 0);
+    EXPECT_FALSE(r.forwarded);
+    EXPECT_TRUE(r.invalidated);
+    EXPECT_EQ(r.value, 0xA5u);
+    EXPECT_EQ(lsu.peek(2, 0xFFFFFFF8u, Op::Lw), 0x0000A500u);
+    EXPECT_EQ(lsu.peek(1, 0xFFFFFFF9u, Op::Lbu), 0u); // not older
+    lsu.commitStores();
+    EXPECT_EQ(memory.read8(0xFFFFFFF9u), 0xA5u);
 }
 
 TEST_F(LsuFixture, PartialWidthOverlapInvalidates)
