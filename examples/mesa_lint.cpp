@@ -20,10 +20,7 @@
 
 #include "absint/certificate.hh"
 #include "cpu/system.hh"
-#include "dfg/analysis.hh"
-#include "interconnect/folded.hh"
-#include "mesa/config_builder.hh"
-#include "mesa/mapper.hh"
+#include "mesa/translate.hh"
 #include "riscv/emulator.hh"
 #include "util/json.hh"
 #include "util/parallel.hh"
@@ -120,13 +117,20 @@ lintKernel(const workloads::Kernel &kernel,
         out.skip_reason = "no hot-loop body";
         return out;
     }
-    const size_t capacity = accel.capacity();
-    const int max_tm = allow_timemux ? 4 : 1;
-
+    // The controller's translation path. Unmapped nodes are reported
+    // as findings instead of refusing the body, and a tileable loop
+    // tiles at the grid's full ceiling (the most demanding
+    // configuration the pipeline can produce).
+    core::TranslatePolicy policy;
+    policy.fold_limit = allow_timemux ? 4 : 1;
+    policy.allow_tiling = kernel.parallel;
+    policy.max_unmapped_frac = 1.0;
+    policy.options.pipelined = true;
+    ic::AccelNocInterconnect noc(accel.rows, accel.cols,
+                                 accel.noc_slice_width);
     dfg::BuildError err = dfg::BuildError::None;
-    auto ldfg = dfg::Ldfg::build(body, accel.op_latency,
-                                 capacity * size_t(max_tm), &err);
-    if (!ldfg) {
+    auto tr = core::translate(body, accel, noc, policy, nullptr, &err);
+    if (!tr) {
         // Not encodable is not a lint failure: the monitor would have
         // rejected the region (C1/C2) before the pipeline ever ran.
         out.skipped = true;
@@ -134,73 +138,24 @@ lintKernel(const workloads::Kernel &kernel,
             std::string("not encodable: ") + dfg::buildErrorName(err);
         return out;
     }
-    out.nodes = ldfg->size();
-
-    // Mirror MesaController::prepare: map on the physical grid, or on
-    // a virtual fold of it when the body exceeds the PE count.
-    ic::AccelNocInterconnect noc(accel.rows, accel.cols,
-                                 accel.noc_slice_width);
-    const int tm = int((ldfg->size() + capacity - 1) / capacity);
-    core::MapResult map;
-    core::ConfigOptions options;
-    if (tm > 1) {
-        accel::AccelParams virt = accel;
-        virt.rows *= tm;
-        ic::FoldedInterconnect folded(noc, accel.rows);
-        core::InstructionMapper mapper(virt, folded, {});
-        map = mapper.map(*ldfg);
-        options.time_multiplex = tm;
-    } else {
-        core::InstructionMapper mapper(accel, noc, {});
-        map = mapper.map(*ldfg);
-    }
-    out.unmapped = map.unmapped.size();
+    out.nodes = tr->ldfg.size();
+    out.unmapped = tr->map.unmapped.size();
+    const int tm = tr->options.time_multiplex;
     out.time_multiplex = tm;
 
-    // Tiling under the same legality conditions the controller uses.
-    const bool unknown_stores =
-        !dfg::findUnknownAddressStores(*ldfg).empty();
-    const auto inductions = dfg::findInductionRegs(*ldfg);
-    bool reg_carried = false;
-    for (int reg : ldfg->writtenRegs()) {
-        if (!ldfg->liveIns().count(reg))
-            continue;
-        bool is_induction = false;
-        for (const auto &ind : inductions)
-            is_induction = is_induction || ind.unified_reg == reg;
-        if (!is_induction)
-            reg_carried = true;
-    }
-    options.pipelined = true;
-    options.tile_factor =
-        (tm == 1 && kernel.parallel && !unknown_stores && !reg_carried)
-            ? std::max(1, core::ConfigBlock::maxTileFactor(map.sdfg,
-                                                           accel))
-            : 1;
-
-    core::ConfigBlock config_block(accel);
-    const uint32_t region_start = body.front().pc;
-    const uint32_t region_end = body.back().pc + 4;
-    accel::AcceleratorConfig config = config_block.build(
-        *ldfg, map.sdfg, options, region_start, region_end);
+    tr->options.tile_factor = tr->max_tiles;
+    const accel::AcceleratorConfig config =
+        tr->lower(core::ConfigBlock(accel), body.front().pc,
+                  body.back().pc + 4);
     out.tiles = config.tileCount();
-
-    if (tm > 1) {
-        ic::FoldedInterconnect folded(noc, accel.rows);
-        out.report = verify::verifyPipeline(*ldfg, map.sdfg,
-                                            map.unmapped, config,
-                                            accel, folded);
-    } else {
-        out.report = verify::verifyPipeline(*ldfg, map.sdfg,
-                                            map.unmapped, config,
-                                            accel, noc);
-    }
+    out.report = verify::verifyLdfg(tr->ldfg, accel.op_latency);
+    out.report.merge(core::verifyTranslation(*tr, config, accel, noc));
 
     if (run_absint) {
         mem::MainMemory memory;
         riscv::Emulator emu(memory);
         if (advanceToLoop(kernel, memory, emu)) {
-            out.cert = absint::analyze(*ldfg);
+            out.cert = absint::analyze(tr->ldfg);
             out.inst = absint::instantiate(
                 out.cert, emu.state(), absint::residentRegion(memory));
             out.certified =

@@ -5,44 +5,17 @@
 #include "dfg/unroll.hh"
 #include "fault/checkpoint.hh"
 #include "mesa/translation_store.hh"
-#include "util/crc32.hh"
 #include "util/debug.hh"
-#include "interconnect/folded.hh"
 #include "util/logging.hh"
 #include "util/trace.hh"
-#include "verify/verifier.hh"
 
 namespace mesa::core
 {
 
 using accel::AccelRunResult;
 using cpu::RegionMonitor;
-using dfg::Ldfg;
 using riscv::Instruction;
 using riscv::TraceEntry;
-
-namespace
-{
-
-/**
- * Config-cache key guard: a CRC over the region body's addresses and
- * instruction encodings. Two different programs loaded at the same
- * base address (routine on service backends, where every kernel
- * assembles to the same base) collide on the loop-head pc; the tag
- * keeps a cached config from being served for the wrong code.
- */
-uint32_t
-bodyTag(const std::vector<Instruction> &body)
-{
-    Crc32 crc;
-    for (const Instruction &inst : body) {
-        crc.add32(inst.pc);
-        crc.add32(inst.raw);
-    }
-    return crc.value();
-}
-
-} // namespace
 
 const char *
 fallbackReasonName(FallbackReason reason)
@@ -289,23 +262,8 @@ MesaController::verifyRuleCounter(const std::string &rule)
 bool
 MesaController::verifyPrepared(const Prepared &prep)
 {
-    // Pass 2 on the grid the mapper actually used: the physical array,
-    // or a virtual fold of it when the region is time-multiplexed.
-    verify::Report report;
-    if (prep.options.time_multiplex > 1) {
-        ic::FoldedInterconnect folded(accel_.interconnect(),
-                                      params_.accel.rows);
-        report = verify::verifyMapping(prep.ldfg, prep.map.sdfg,
-                                       prep.map.unmapped, params_.accel,
-                                       folded);
-    } else {
-        report = verify::verifyMapping(prep.ldfg, prep.map.sdfg,
-                                       prep.map.unmapped, params_.accel,
-                                       accel_.interconnect());
-    }
-    // Pass 3: config round-trip against the source LDFG.
-    report.merge(verify::verifyConfig(prep.ldfg, prep.config,
-                                      params_.accel));
+    const verify::Report report = verifyTranslation(
+        prep, prep.config, params_.accel, accel_.interconnect());
 
     const bool clean = report.clean();
     if (stats_) {
@@ -430,7 +388,7 @@ MesaController::prepare(const std::vector<Instruction> &body,
                         uint32_t region_end)
 {
     last_prepare_fallback_ = FallbackReason::Structural;
-    const uint32_t region_tag = bodyTag(body);
+    const uint32_t region_tag = bodyCrc(body);
 
     // Persistent translation store (--cache-dir): a warm start skips
     // LDFG encode, mapping, and config generation entirely. The entry
@@ -463,10 +421,6 @@ MesaController::prepare(const std::vector<Instruction> &body,
     }
 
     const size_t capacity = params_.accel.capacity();
-    const int max_tm =
-        params_.enable_time_multiplexing
-            ? std::max(1, params_.max_time_multiplex)
-            : 1;
 
     // Unrolling (extension): replicate small bodies so one pass
     // covers several original iterations; the CPU resumes at the
@@ -477,8 +431,7 @@ MesaController::prepare(const std::vector<Instruction> &body,
     const bool checked_fault_mode =
         params_.fault.enabled && params_.fault.checked_mode;
     std::vector<Instruction> working = body;
-    std::map<int, int32_t> live_in_adjustments;
-    uint32_t resume_pc = 0;
+    TranslatePolicy policy;
     if (params_.enable_unrolling && !checked_fault_mode &&
         body.size() <= capacity) {
         for (int f = std::max(2, params_.unroll_factor); f >= 2;
@@ -489,102 +442,46 @@ MesaController::prepare(const std::vector<Instruction> &body,
                 continue;
             if (auto unrolled = dfg::unrollBody(body, f)) {
                 working = std::move(unrolled->body);
-                live_in_adjustments =
+                policy.options.live_in_adjustments =
                     std::move(unrolled->live_in_adjustments);
-                resume_pc = region_end - 4; // the closing branch
+                // Resume at the closing branch.
+                policy.options.resume_pc = region_end - 4;
                 break;
             }
         }
     }
 
-    dfg::BuildError err = dfg::BuildError::None;
-    auto ldfg = Ldfg::build(working, params_.accel.op_latency,
-                            capacity * size_t(max_tm), &err);
-    if (!ldfg)
+    policy.mapper = params_.mapper;
+    policy.blocked = faulty_pes_.coords();
+    // Oversized bodies fold onto a virtual grid (extension): up to
+    // max_time_multiplex instructions share each PE.
+    policy.fold_limit = params_.enable_time_multiplexing
+                            ? params_.max_time_multiplex
+                            : 1;
+    policy.allow_tiling = parallel_hint && params_.enable_tiling;
+    policy.max_unmapped_frac = params_.max_unmapped_frac;
+    policy.options.enable_forwarding = params_.enable_forwarding;
+    policy.options.enable_vectorization = params_.enable_vectorization;
+    policy.options.enable_prefetch = params_.enable_prefetch;
+    // Pipelining is safe for any loop: the dataflow engine enforces
+    // loop-carried register dependences, so a serial reduction simply
+    // pipelines around its recurrence.
+    policy.options.pipelined = params_.enable_pipelining;
+    auto translation = translate(working, params_.accel,
+                                 accel_.interconnect(), policy);
+    if (!translation)
         return std::nullopt;
 
     Prepared prep;
-    prep.ldfg = std::move(*ldfg);
+    static_cast<Translation &>(prep) = std::move(*translation);
     prep.body_tag = region_tag;
-    // The frontend renames one instruction per cycle while building
-    // the LDFG from the trace cache.
-    prep.encode_cycles = working.size();
-
-    // Oversized bodies fold onto a virtual grid (extension): up to
-    // time_multiplex instructions share each PE.
-    const int tm = int((working.size() + capacity - 1) / capacity);
-    if (tm > 1) {
-        accel::AccelParams virt = params_.accel;
-        virt.rows *= tm;
-        ic::FoldedInterconnect folded(accel_.interconnect(),
-                                      params_.accel.rows);
-        InstructionMapper vmapper(virt, folded, params_.mapper);
-        // Retired PEs block every virtual row that folds onto them.
-        if (!faulty_pes_.empty())
-            vmapper.setBlockedPes(faulty_pes_.coords(),
-                                  params_.accel.rows);
-        prep.map = vmapper.map(prep.ldfg);
-        prep.options.time_multiplex = tm;
-    } else {
-        prep.map = mapper_.map(prep.ldfg);
-    }
-    const double unmapped_frac =
-        double(prep.map.unmapped.size()) / double(prep.ldfg.size());
-    if (unmapped_frac > params_.max_unmapped_frac)
-        return std::nullopt;
-
-    prep.options.enable_forwarding = params_.enable_forwarding;
-    prep.options.enable_vectorization = params_.enable_vectorization;
-    prep.options.enable_prefetch = params_.enable_prefetch;
-    // Stores with data-dependent addresses cannot be statically
-    // disambiguated across tile instances (cross-instance aliasing
-    // has no invalidation path), so such loops are not tiled. Within
-    // one instance the LS entries speculate and invalidate (paper
-    // Fig. 5), so pipelining remains safe.
-    const bool unknown_stores =
-        !dfg::findUnknownAddressStores(prep.ldfg).empty();
-
-    // Register-carried recurrences (a live-in that the body rewrites
-    // and that is not an affine induction, e.g. a running reduction)
-    // are visible to MESA in its own rename table; such loops are
-    // never tiled even when the OpenMP hint claims parallelism.
-    const auto inductions = dfg::findInductionRegs(prep.ldfg);
-    bool reg_carried = false;
-    for (int reg : prep.ldfg.writtenRegs()) {
-        if (!prep.ldfg.liveIns().count(reg))
-            continue;
-        bool is_induction = false;
-        for (const auto &ind : inductions)
-            is_induction = is_induction || ind.unified_reg == reg;
-        if (!is_induction)
-            reg_carried = true;
-    }
-
-    // A degraded array runs untiled: tile instances execute at
-    // translated physical origins the blocked set cannot see, so only
-    // the base placement is guaranteed to avoid quarantined PEs.
-    prep.max_tiles =
-        (tm == 1 && parallel_hint && params_.enable_tiling &&
-         faulty_pes_.empty() && !unknown_stores && !reg_carried)
-            ? ConfigBlock::maxTileFactor(prep.map.sdfg, params_.accel)
-            : 1;
     // The first configuration tiles conservatively (half the grid's
     // ceiling): without runtime information, over-committing the
     // array risks memory-port thrash. Iterative optimization scales
     // the tiling up from profiled epochs (paper: "we opt instead to
     // continuously iterate to close in on the optimum").
     prep.options.tile_factor = std::max(1, (prep.max_tiles + 1) / 2);
-    // Pipelining is safe for any loop: the dataflow engine enforces
-    // loop-carried register dependences, so a serial reduction simply
-    // pipelines around its recurrence.
-    prep.options.pipelined = params_.enable_pipelining;
-    prep.options.live_in_adjustments = live_in_adjustments;
-    prep.options.resume_pc = resume_pc;
-
-    prep.config = config_block_.build(prep.ldfg, prep.map.sdfg,
-                                      prep.options, region_start,
-                                      region_end);
-    prep.config.model_latency = prep.map.model_latency;
+    prep.config = prep.lower(config_block_, region_start, region_end);
 
     // Abstract-interpretation certificate (footprint + trip bounds).
     // Only meaningful for the natural body: an unrolled pass resumes
@@ -593,7 +490,7 @@ MesaController::prepare(const std::vector<Instruction> &body,
     // of the body (keyed by the same CRC as the config), so a cached
     // one is revived instead of re-running the fixpoint.
     if (params_.fault.enabled && params_.fault.certificate_gating &&
-        resume_pc == 0) {
+        prep.options.resume_pc == 0) {
         prep.cert = config_cache_.certificate(region_start, region_tag);
         if (!prep.cert)
             prep.cert = std::make_shared<const absint::BodyCertificate>(
@@ -965,10 +862,8 @@ MesaController::runGuarded(Prepared &prep, riscv::ArchState &state,
         // and mapping are intact: rebuild the configuration from them
         // and replace the poisoned cache entry.
         config_cache_.invalidate(os.region_start);
-        prep.config = config_block_.build(prep.ldfg, prep.map.sdfg,
-                                          prep.options, os.region_start,
-                                          os.region_end);
-        prep.config.model_latency = prep.map.model_latency;
+        prep.config =
+            prep.lower(config_block_, os.region_start, os.region_end);
         if (accel::configCrc(prep.config) != prep.config.crc) {
             // The rebuild is corrupt too (encoder-path fault): nothing
             // trustworthy to stream; execute on the CPU.
@@ -1165,6 +1060,33 @@ MesaController::runGuarded(Prepared &prep, riscv::ArchState &state,
     updateFaultGauges();
 }
 
+std::optional<MesaController::Prepared>
+MesaController::prepareOffload(const std::vector<Instruction> &body,
+                               bool parallel_hint, OffloadStats &os)
+{
+    // A re-encountered region reuses its stored configuration; only
+    // the bitstream write is paid again.
+    const accel::AcceleratorConfig *cached =
+        config_cache_.lookup(os.region_start, bodyCrc(body));
+    auto prep =
+        prepare(body, parallel_hint, os.region_start, os.region_end);
+    if (!prep) {
+        bumpFallback(last_prepare_fallback_);
+        return std::nullopt;
+    }
+    if (cached) {
+        os.config_cache_hit = true;
+        prep->config = *cached;
+    } else {
+        os.encode_cycles = prep->encode_cycles;
+        os.mapping_cycles = prep->map.mapping_cycles;
+        config_cache_.insert(prep->config, prep->body_tag, prep->cert);
+    }
+    os.config_cycles = config_block_.configCycles(prep->config);
+    os.unmapped = prep->map.unmapped.size();
+    return prep;
+}
+
 std::optional<OffloadStats>
 MesaController::offloadLoop(const std::vector<Instruction> &body,
                             riscv::ArchState &state, bool parallel_hint,
@@ -1205,36 +1127,10 @@ MesaController::offloadLoop(const std::vector<Instruction> &body,
         return os;
     }
 
-    Prepared prep;
-    if (const auto *cached =
-            config_cache_.lookup(region_start, bodyTag(body))) {
-        // Re-encountered region: reuse the stored configuration; only
-        // the bitstream write is paid again.
-        os.config_cache_hit = true;
-        auto fresh = prepare(body, parallel_hint, region_start,
-                             region_end);
-        if (!fresh) {
-            bumpFallback(last_prepare_fallback_);
-            return std::nullopt;
-        }
-        prep = std::move(*fresh);
-        prep.config = *cached;
-        os.config_cycles = config_block_.configCycles(prep.config);
-        os.unmapped = prep.map.unmapped.size();
-    } else {
-        auto fresh = prepare(body, parallel_hint, region_start,
-                             region_end);
-        if (!fresh) {
-            bumpFallback(last_prepare_fallback_);
-            return std::nullopt;
-        }
-        prep = std::move(*fresh);
-        os.encode_cycles = prep.encode_cycles;
-        os.mapping_cycles = prep.map.mapping_cycles;
-        os.config_cycles = config_block_.configCycles(prep.config);
-        os.unmapped = prep.map.unmapped.size();
-        config_cache_.insert(prep.config, prep.body_tag, prep.cert);
-    }
+    auto prepared = prepareOffload(body, parallel_hint, os);
+    if (!prepared)
+        return std::nullopt;
+    Prepared &prep = *prepared;
 
     // In the lower-level entry there is no CPU to overlap with: the
     // configuration phases occupy the timeline before the first epoch.
@@ -1356,38 +1252,14 @@ MesaController::runTransparent(const riscv::Program &program,
         os.region_start = loop.start;
         os.region_end = loop.end;
 
-        Prepared prep;
-        bool prepared = false;
-        if (const auto *cached =
-                config_cache_.lookup(loop.start, bodyTag(body))) {
-            auto fresh = prepare(body, parallel_hint, loop.start,
-                                 loop.end);
-            if (fresh) {
-                prep = std::move(*fresh);
-                prep.config = *cached;
-                os.config_cache_hit = true;
-                os.config_cycles =
-                    config_block_.configCycles(prep.config);
-                os.unmapped = prep.map.unmapped.size();
-                prepared = true;
-            }
-        } else if (auto fresh = prepare(body, parallel_hint, loop.start,
-                                        loop.end)) {
-            prep = std::move(*fresh);
-            os.encode_cycles = prep.encode_cycles;
-            os.mapping_cycles = prep.map.mapping_cycles;
-            os.config_cycles = config_block_.configCycles(prep.config);
-            os.unmapped = prep.map.unmapped.size();
-            config_cache_.insert(prep.config, prep.body_tag, prep.cert);
-            prepared = true;
-        }
+        auto prepared = prepareOffload(body, parallel_hint, os);
         if (!prepared) {
             // Structural failure: never consider this region again.
-            bumpFallback(last_prepare_fallback_);
             monitor.blacklist(loop.start);
             monitor.rearm();
             continue;
         }
+        Prepared &prep = *prepared;
 
         // MESA's configuration phases run concurrently with the CPU:
         // lay them on the controller tracks starting at the decision

@@ -31,6 +31,7 @@
 #include "mesa/config_cache.hh"
 #include "mesa/mapper.hh"
 #include "mesa/optimizer.hh"
+#include "mesa/translate.hh"
 #include "util/stats.hh"
 #include "util/stats_registry.hh"
 
@@ -152,22 +153,17 @@ enum class PersistOutcome
 };
 
 /**
- * A fully translated region: the encoded LDFG (T1), its placement
- * (T2), and the built accelerator configuration (T3), plus the
- * options and bookkeeping the controller derived along the way. A
- * pure function of (body, parallel hint, region bounds, MESA params,
- * blocked-PE set) — which is what makes it safe to memoize across
- * processes in the persistent translation store.
+ * A fully translated region: the translation (T1 encode, T2 map, the
+ * tile ceiling) plus the built accelerator configuration (T3) and the
+ * controller's bookkeeping. A pure function of (body, parallel hint,
+ * region bounds, MESA params, blocked-PE set) — which is what makes
+ * it safe to memoize across processes in the persistent translation
+ * store.
  */
-struct PreparedRegion
+struct PreparedRegion : Translation
 {
-    dfg::Ldfg ldfg;
-    MapResult map;
     accel::AcceleratorConfig config;
-    ConfigOptions options;
-    uint64_t encode_cycles = 0;
-    int max_tiles = 1; ///< Grid-supported tile factor ceiling.
-    uint32_t body_tag = 0; ///< Config-cache key guard (body CRC).
+    uint32_t body_tag = 0; ///< Config-cache key guard (bodyCrc).
     /** Abstract-interpretation certificate for the (non-unrolled)
      *  body, when fault.certificate_gating is on. Shared with the
      *  config cache so re-encountered regions skip the fixpoint. */
@@ -443,6 +439,17 @@ class MesaController
     std::optional<Prepared> prepare(
         const std::vector<riscv::Instruction> &body, bool parallel_hint,
         uint32_t region_start, uint32_t region_end);
+
+    /**
+     * Prepare the region [os.region_start, os.region_end) for an
+     * offload: translate it, or revive its config-cache entry, and
+     * fill @p os's translation phase cycles (a cache hit pays only
+     * the bitstream write). nullopt, with the fallback counted, when
+     * the region cannot be offloaded.
+     */
+    std::optional<Prepared> prepareOffload(
+        const std::vector<riscv::Instruction> &body, bool parallel_hint,
+        OffloadStats &os);
 
     /**
      * Run the verify-before-offload gate over a prepared region

@@ -2,30 +2,14 @@
 
 #include <algorithm>
 
-#include "dfg/analysis.hh"
-#include "dfg/ldfg.hh"
 #include "fault/checkpoint.hh"
-#include "interconnect/folded.hh"
 #include "mesa/config_builder.hh"
 #include "riscv/isa.hh"
-#include "util/crc32.hh"
-#include "util/debug.hh"
 
 namespace mesa::migrate
 {
 
 using riscv::Instruction;
-
-uint32_t
-bodyCrc(const std::vector<Instruction> &body)
-{
-    Crc32 crc;
-    for (const Instruction &inst : body) {
-        crc.add32(inst.pc);
-        crc.add32(inst.raw);
-    }
-    return crc.value();
-}
 
 bool
 configFits(const accel::AcceleratorConfig &config,
@@ -48,141 +32,42 @@ configFits(const accel::AcceleratorConfig &config,
 }
 
 std::optional<MigrationPlan>
-translateBody(const std::vector<Instruction> &body,
-              const accel::AccelParams &target,
-              const core::MapperParams &mapper_params,
-              const std::vector<ic::Coord> &blocked, bool parallel_hint,
-              bool pipelined, int max_time_multiplex)
-{
-    if (body.empty())
-        return std::nullopt;
-    const size_t capacity = target.capacity();
-    if (capacity == 0)
-        return std::nullopt;
-    const int tm = int((body.size() + capacity - 1) / capacity);
-    if (tm > std::max(1, max_time_multiplex))
-        return std::nullopt;
-
-    dfg::BuildError err = dfg::BuildError::None;
-    auto ldfg = dfg::Ldfg::build(body, target.op_latency,
-                                 capacity * size_t(tm), &err);
-    if (!ldfg)
-        return std::nullopt;
-
-    MigrationPlan plan;
-    plan.time_multiplex = tm;
-    plan.cost.encode_cycles = body.size();
-
-    const ic::AccelNocInterconnect phys_ic(target.rows, target.cols,
-                                           target.noc_slice_width);
-    core::MapResult map;
-    if (tm > 1) {
-        accel::AccelParams virt = target;
-        virt.rows *= tm;
-        ic::FoldedInterconnect folded(phys_ic, target.rows);
-        core::InstructionMapper vmapper(virt, folded, mapper_params);
-        // Blocked PEs veto every virtual row folding onto them.
-        if (!blocked.empty())
-            vmapper.setBlockedPes(blocked, target.rows);
-        map = vmapper.map(*ldfg);
-    } else {
-        core::InstructionMapper mapper(target, phys_ic, mapper_params);
-        if (!blocked.empty())
-            mapper.setBlockedPes(blocked);
-        map = mapper.map(*ldfg);
-    }
-    if (!map.unmapped.empty())
-        return std::nullopt;
-    plan.cost.mapping_cycles = map.mapping_cycles;
-
-    core::ConfigOptions options;
-    options.time_multiplex = tm;
-    options.pipelined = pipelined;
-
-    // Tiling follows the controller's safety rules — and additionally
-    // requires an unblocked grid, since tile instances execute at
-    // translated origins the blocked set cannot see.
-    if (tm == 1 && parallel_hint && blocked.empty()) {
-        const bool unknown_stores =
-            !dfg::findUnknownAddressStores(*ldfg).empty();
-        const auto inductions = dfg::findInductionRegs(*ldfg);
-        bool reg_carried = false;
-        for (int reg : ldfg->writtenRegs()) {
-            if (!ldfg->liveIns().count(reg))
-                continue;
-            bool is_induction = false;
-            for (const auto &ind : inductions)
-                is_induction = is_induction || ind.unified_reg == reg;
-            if (!is_induction)
-                reg_carried = true;
-        }
-        if (!unknown_stores && !reg_carried) {
-            // Unlike a first-contact offload, a migrated region has
-            // already been profiled: commit to the grid's ceiling
-            // instead of creeping up from half.
-            options.tile_factor = std::max(
-                1, core::ConfigBlock::maxTileFactor(map.sdfg, target));
-        }
-    }
-
-    const uint32_t region_start = body.front().pc;
-    const uint32_t region_end = body.back().pc + 4;
-    const core::ConfigBlock block(target);
-    plan.config = block.build(*ldfg, map.sdfg, options, region_start,
-                              region_end);
-    plan.config.model_latency = map.model_latency;
-    plan.cost.config_cycles = block.configCycles(plan.config);
-    return plan;
-}
-
-std::optional<MigrationPlan>
 planMigration(const std::vector<Instruction> &body,
               const accel::AcceleratorConfig &source,
               const accel::AccelParams &target,
               const core::MapperParams &mapper_params,
-              const std::vector<ic::Coord> &blocked, bool parallel_hint,
-              core::ConfigCache *cache)
+              const std::vector<ic::Coord> &blocked, bool parallel_hint)
 {
-    const uint32_t tag = bodyCrc(body);
-
-    // Warm path 1: a previous migration to this geometry left the
-    // translated config in the target-side cache.
-    if (cache && !body.empty()) {
-        if (const auto *cached = cache->lookup(body.front().pc, tag)) {
-            if (configFits(*cached, target, blocked)) {
-                MigrationPlan plan;
-                plan.config = *cached;
-                plan.warm = true;
-                plan.time_multiplex = cached->time_multiplex;
-                plan.cost.checkpoint_cycles = riscv::NumUnifiedRegs;
-                plan.cost.config_cycles =
-                    core::ConfigBlock(target).configCycles(plan.config);
-                return plan;
-            }
-        }
-    }
-
-    // Warm path 2: the running bitstream itself fits the target.
+    MigrationPlan plan;
+    const core::ConfigBlock block(target);
     if (configFits(source, target, blocked)) {
-        MigrationPlan plan;
+        // Warm path: the running bitstream itself fits the target.
         plan.config = source;
         plan.warm = true;
-        plan.time_multiplex = source.time_multiplex;
-        plan.cost.checkpoint_cycles = riscv::NumUnifiedRegs;
-        plan.cost.config_cycles =
-            core::ConfigBlock(target).configCycles(plan.config);
-        if (cache)
-            cache->insert(plan.config, tag);
-        return plan;
+    } else {
+        core::TranslatePolicy policy;
+        policy.mapper = mapper_params;
+        policy.blocked = blocked;
+        policy.fold_limit = 4;
+        policy.allow_tiling = parallel_hint;
+        policy.options.pipelined = source.pipelined;
+        const ic::AccelNocInterconnect noc(target.rows, target.cols,
+                                           target.noc_slice_width);
+        auto tr = core::translate(body, target, noc, policy);
+        if (!tr)
+            return std::nullopt;
+        // Unlike a first-contact offload, a migrated region has
+        // already been profiled: commit to the grid's ceiling instead
+        // of creeping up from half.
+        tr->options.tile_factor = tr->max_tiles;
+        plan.config =
+            tr->lower(block, body.front().pc, body.back().pc + 4);
+        plan.cost.encode_cycles = tr->encode_cycles;
+        plan.cost.mapping_cycles = tr->map.mapping_cycles;
     }
-
-    auto plan = translateBody(body, target, mapper_params, blocked,
-                              parallel_hint, source.pipelined);
-    if (!plan)
-        return std::nullopt;
-    plan->cost.checkpoint_cycles = riscv::NumUnifiedRegs;
-    if (cache)
-        cache->insert(plan->config, tag);
+    plan.time_multiplex = plan.config.time_multiplex;
+    plan.cost.checkpoint_cycles = riscv::NumUnifiedRegs;
+    plan.cost.config_cycles = block.configCycles(plan.config);
     return plan;
 }
 
@@ -193,11 +78,10 @@ migrateOffload(const std::vector<Instruction> &body,
                accel::Accelerator &target,
                const core::MapperParams &mapper_params,
                const std::vector<ic::Coord> &blocked, bool parallel_hint,
-               uint64_t max_iterations, core::ConfigCache *cache)
+               uint64_t max_iterations)
 {
     auto plan = planMigration(body, source, target.params(),
-                              mapper_params, blocked, parallel_hint,
-                              cache);
+                              mapper_params, blocked, parallel_hint);
     if (!plan)
         return std::nullopt;
 

@@ -5,8 +5,8 @@
  * running offload is checkpointed at a round boundary, its
  * configuration is re-instantiated on a different sub-array — reusing
  * the source bitstream when the target geometry matches, otherwise
- * re-translating through the mapper (with virtual-row folding and
- * blocked-PE avoidance) — and execution resumes bit-exactly.
+ * re-translating through core::translate() (with virtual-row folding
+ * and blocked-PE avoidance) — and execution resumes bit-exactly.
  *
  * The round boundary is what makes this sound: Accelerator::run()
  * latches live-ins from the architectural state at entry and writes
@@ -29,16 +29,15 @@
 #include "accel/config_types.hh"
 #include "accel/params.hh"
 #include "interconnect/interconnect.hh"
-#include "mesa/config_cache.hh"
 #include "mesa/mapper.hh"
+#include "mesa/translate.hh"
 #include "riscv/emulator.hh"
 
 namespace mesa::migrate
 {
 
-/** Config-cache key guard: CRC over the body's pcs and encodings
- *  (the same tag the controller derives for its ConfigCache). */
-uint32_t bodyCrc(const std::vector<riscv::Instruction> &body);
+/** Body CRC: the same tag the controller keys its config cache by. */
+using core::bodyCrc;
 
 /** Cycle decomposition of one migration. */
 struct MigrationCost
@@ -87,34 +86,16 @@ bool configFits(const accel::AcceleratorConfig &config,
                 const std::vector<ic::Coord> &blocked);
 
 /**
- * Translate @p body onto @p target from scratch: encode the LDFG, map
- * it (folding onto a virtual grid of up to @p max_time_multiplex rows
- * per PE when the body exceeds the sub-array's capacity, and routing
- * around @p blocked physical PEs), and lower the configuration.
- *
- * @param parallel_hint permit tiling (capped by the grid; disabled
- *        when the body has unknown-address stores, register-carried
- *        recurrences, a fold, or blocked PEs — the same safety rules
- *        the controller applies)
- * @param pipelined overlap successive iterations on one instance
- * @return nullopt when the body cannot be encoded or placed
- */
-std::optional<MigrationPlan>
-translateBody(const std::vector<riscv::Instruction> &body,
-              const accel::AccelParams &target,
-              const core::MapperParams &mapper_params,
-              const std::vector<ic::Coord> &blocked,
-              bool parallel_hint = false, bool pipelined = true,
-              int max_time_multiplex = 4);
-
-/**
  * Plan a migration of a running offload (currently configured as
  * @p source) onto @p target. Warm path: the source config fits the
- * target geometry, so only the bitstream write is paid — the
- * ConfigCache (when given) resolves this by body CRC exactly like the
- * controller's re-encounter path. Cold path: re-translate via
- * translateBody. A translated config is inserted into @p cache so
- * the next migration to this geometry is warm.
+ * target geometry, so only the bitstream write is paid. Cold path:
+ * re-translate with core::translate() onto the target, folding up to
+ * 4 instructions per PE and routing around @p blocked. A migrated
+ * region has already been profiled, so a tileable one (per
+ * @p parallel_hint and the translation's safety gates) commits to the
+ * grid's full tile ceiling.
+ *
+ * @return nullopt when the body cannot be encoded or fully placed
  */
 std::optional<MigrationPlan>
 planMigration(const std::vector<riscv::Instruction> &body,
@@ -122,8 +103,7 @@ planMigration(const std::vector<riscv::Instruction> &body,
               const accel::AccelParams &target,
               const core::MapperParams &mapper_params,
               const std::vector<ic::Coord> &blocked,
-              bool parallel_hint = false,
-              core::ConfigCache *cache = nullptr);
+              bool parallel_hint = false);
 
 /** Outcome of one live migration. */
 struct MigrationOutcome
@@ -163,8 +143,7 @@ migrateOffload(const std::vector<riscv::Instruction> &body,
                const core::MapperParams &mapper_params,
                const std::vector<ic::Coord> &blocked = {},
                bool parallel_hint = false,
-               uint64_t max_iterations = ~uint64_t(0),
-               core::ConfigCache *cache = nullptr);
+               uint64_t max_iterations = ~uint64_t(0));
 
 } // namespace mesa::migrate
 

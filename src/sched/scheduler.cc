@@ -3,19 +3,16 @@
 #include <algorithm>
 #include <cmath>
 
-#include "dfg/ldfg.hh"
-#include "migrate/migrate.hh"
+#include "mesa/translate.hh"
 #include "riscv/isa.hh"
 #include "util/debug.hh"
 #include "util/logging.hh"
 #include "util/trace.hh"
-#include "verify/verifier.hh"
 
 namespace mesa::sched
 {
 
 using accel::AccelRunResult;
-using core::ConfigOptions;
 
 const char *
 policyName(Policy policy)
@@ -111,8 +108,6 @@ MultiTenantScheduler::MultiTenantScheduler(const SchedParams &params,
     part_ic_ = std::make_unique<ic::AccelNocInterconnect>(
         part_params_.rows, part_params_.cols,
         part_params_.noc_slice_width);
-    mapper_ = std::make_unique<core::InstructionMapper>(
-        part_params_, *part_ic_, params_.mapper);
     config_block_ = std::make_unique<core::ConfigBlock>(part_params_);
 
     partitions_.reserve(geometry_.size());
@@ -163,43 +158,32 @@ MultiTenantScheduler::submit(
     if (healthyWays() == 0)
         return -1;
 
-    dfg::BuildError err = dfg::BuildError::None;
-    auto ldfg = dfg::Ldfg::build(body, params_.accel.op_latency,
-                                 part_params_.capacity(), &err);
-    if (!ldfg)
+    // A partition runs its tenants purely spatially and fault-free
+    // (degraded ways are skipped, never mapped around).
+    core::TranslatePolicy policy;
+    policy.mapper = params_.mapper;
+    policy.allow_tiling = parallel_hint && params_.enable_tiling;
+    policy.max_unmapped_frac = params_.max_unmapped_frac;
+    policy.options.enable_forwarding = params_.enable_forwarding;
+    policy.options.enable_vectorization = params_.enable_vectorization;
+    policy.options.enable_prefetch = params_.enable_prefetch;
+    policy.options.pipelined = params_.enable_pipelining;
+    auto tr = core::translate(body, part_params_, *part_ic_, policy);
+    if (!tr)
         return -1;
-    core::MapResult map = mapper_->map(*ldfg);
-    if (double(map.unmapped.size()) / double(ldfg->size()) >
-        params_.max_unmapped_frac)
-        return -1;
+    tr->options.tile_factor = tr->max_tiles;
 
     const uint32_t region_start = body.front().pc;
     const uint32_t region_end = body.back().pc + 4;
-
-    ConfigOptions options;
-    options.enable_forwarding = params_.enable_forwarding;
-    options.enable_vectorization = params_.enable_vectorization;
-    options.enable_prefetch = params_.enable_prefetch;
-    options.pipelined = params_.enable_pipelining;
-    options.tile_factor =
-        (parallel_hint && params_.enable_tiling)
-            ? std::max(1, core::ConfigBlock::maxTileFactor(
-                              map.sdfg, part_params_))
-            : 1;
-
     Tenant t;
-    t.config = config_block_->build(*ldfg, map.sdfg, options,
-                                    region_start, region_end);
-    t.config.model_latency = map.model_latency;
+    t.config = tr->lower(*config_block_, region_start, region_end);
 
     if (params_.verify_before_offload) {
         // Legality check against the partition geometry before the
         // context can ever land on a sub-array.
         ++verify_checked_;
-        verify::Report report = verify::verifyMapping(
-            *ldfg, map.sdfg, map.unmapped, part_params_, *part_ic_);
-        report.merge(
-            verify::verifyConfig(*ldfg, t.config, part_params_));
+        const verify::Report report = core::verifyTranslation(
+            *tr, t.config, part_params_, *part_ic_);
         if (!report.clean()) {
             ++verify_rejects_;
             DTRACE("sched", "verify gate refused region 0x"
@@ -211,8 +195,8 @@ MultiTenantScheduler::submit(
     t.state = &state;
     t.remaining = max_iterations;
     t.stream_cycles = config_block_->configCycles(t.config);
-    t.encode_cycles = body.size();
-    t.mapping_cycles = map.mapping_cycles;
+    t.encode_cycles = tr->encode_cycles;
+    t.mapping_cycles = tr->map.mapping_cycles;
     t.parallel_hint = parallel_hint;
     t.body = body;
 
@@ -346,17 +330,25 @@ MultiTenantScheduler::tryElasticSlice(int t, size_t pk, uint64_t now,
     bool warm = true;
     auto it = T.geo_configs.find(rows);
     if (it == T.geo_configs.end()) {
-        auto plan = migrate::translateBody(
-            T.body, mb.accel->params(), params_.mapper, {},
-            T.parallel_hint && params_.enable_tiling,
-            params_.enable_pipelining);
-        if (!plan)
+        // A live migration: every node placed, and (like
+        // migrate::planMigration) the full tile ceiling.
+        core::TranslatePolicy policy;
+        policy.mapper = params_.mapper;
+        policy.allow_tiling = T.parallel_hint && params_.enable_tiling;
+        policy.options.pipelined = params_.enable_pipelining;
+        auto tr = core::translate(T.body, mb.accel->params(),
+                                  mb.accel->interconnect(), policy);
+        if (!tr)
             return false;
+        tr->options.tile_factor = tr->max_tiles;
         warm = false;
-        it = T.geo_configs.emplace(rows, plan->config).first;
-        T.geo_stream_cycles[rows] = plan->cost.config_cycles;
+        const core::ConfigBlock block(mb.accel->params());
+        const accel::AcceleratorConfig config = tr->lower(
+            block, T.body.front().pc, T.body.back().pc + 4);
+        it = T.geo_configs.emplace(rows, config).first;
+        T.geo_stream_cycles[rows] = block.configCycles(config);
         const uint64_t translate =
-            plan->cost.encode_cycles + plan->cost.mapping_cycles;
+            tr->encode_cycles + tr->map.mapping_cycles;
         switch_cost += translate;
         migration_translate_cycles_ += translate;
     }

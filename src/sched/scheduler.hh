@@ -80,7 +80,7 @@ struct SchedParams
      * the arbitrating way's tenant is the only runnable one and
      * adjacent healthy ways sit idle, live-migrate it onto the merged
      * row band (checkpoint at the round boundary, re-translate via
-     * src/migrate for the larger sub-array, resume) instead of
+     * core::translate() for the larger sub-array, resume) instead of
      * leaving the idle bands dark. The band shrinks back implicitly:
      * as soon as another tenant is runnable the merge criterion
      * fails and slices return to single-way granularity.
@@ -335,12 +335,12 @@ class MultiTenantScheduler final : public core::OffloadArbiter
     SchedParams params_;
     mem::MainMemory &memory_;
 
-    // Uniform partition geometry: one mapper/config-block serves all
-    // ways (declaration order matters — both hold references).
+    // Uniform partition geometry: one interconnect/config-block
+    // serves all ways (declaration order matters — the block holds a
+    // reference).
     std::vector<PartitionGeometry> geometry_;
     accel::AccelParams part_params_;
     std::unique_ptr<ic::Interconnect> part_ic_;
-    std::unique_ptr<core::InstructionMapper> mapper_;
     std::unique_ptr<core::ConfigBlock> config_block_;
 
     std::vector<Partition> partitions_;

@@ -16,12 +16,9 @@
 #include <sstream>
 
 #include "absint/certificate.hh"
-#include "dfg/analysis.hh"
 #include "dfg/unroll.hh"
 #include "helpers.hh"
-#include "interconnect/folded.hh"
-#include "mesa/config_builder.hh"
-#include "mesa/mapper.hh"
+#include "mesa/translate.hh"
 #include "riscv/assembler.hh"
 #include "util/json.hh"
 #include "util/parallel.hh"
@@ -311,86 +308,48 @@ verifierFuzzCase(uint32_t seed, int axis)
             body = std::move(unrolled->body);
     }
 
-    const size_t capacity = accel.capacity();
-    auto ldfg = dfg::Ldfg::build(body, accel.op_latency,
-                                 capacity * size_t(max_tm));
-    if (!ldfg) {
+    // The production translation path, with every node accepted so
+    // the verifier sees partial placements too. Tiling under the
+    // translation's legality gates; pipelining always on, so the
+    // annotation-heavy paths get exercised.
+    core::TranslatePolicy policy;
+    policy.fold_limit = max_tm;
+    policy.allow_tiling = true;
+    policy.max_unmapped_frac = 1.0;
+    policy.options.pipelined = true;
+    ic::AccelNocInterconnect noc(accel.rows, accel.cols,
+                                 accel.noc_slice_width);
+    core::TranslateFailure why = core::TranslateFailure::None;
+    auto tr = core::translate(body, accel, noc, policy, &why);
+    if (!tr) {
         out.skipped = true;
-        out.skip_reason = "body not encodable (acceptable)";
+        out.skip_reason =
+            why == core::TranslateFailure::FoldBudget
+                ? "body exceeds the fold budget (acceptable)"
+                : "body not encodable (acceptable)";
         return out;
     }
+    const dfg::Ldfg &ldfg = tr->ldfg;
 
     // Pass 1 holds for every graph the encoder emits.
     const verify::Report dfg_report =
-        verify::verifyLdfg(*ldfg, accel.op_latency);
+        verify::verifyLdfg(ldfg, accel.op_latency);
     if (dfg_report.errorCount() != 0) {
         out.error = "LDFG verify failed\n" + render(dfg_report);
         return out;
     }
 
-    ic::AccelNocInterconnect noc(accel.rows, accel.cols,
-                                 accel.noc_slice_width);
-    const int tm = int((ldfg->size() + capacity - 1) / capacity);
-    if (tm > max_tm) {
-        out.skipped = true;
-        out.skip_reason = "body exceeds the fold budget (acceptable)";
-        return out;
-    }
+    tr->options.tile_factor = tr->max_tiles;
+    const accel::AcceleratorConfig config = tr->lower(
+        core::ConfigBlock(accel), body.front().pc, body.back().pc + 4);
 
-    core::MapResult map;
-    core::ConfigOptions options;
-    if (tm > 1) {
-        accel::AccelParams virt = accel;
-        virt.rows *= tm;
-        ic::FoldedInterconnect folded(noc, accel.rows);
-        core::InstructionMapper mapper(virt, folded, {});
-        map = mapper.map(*ldfg);
-        options.time_multiplex = tm;
-    } else {
-        core::InstructionMapper mapper(accel, noc, {});
-        map = mapper.map(*ldfg);
-    }
-
-    // Tiling under the controller's legality conditions; pipelining
-    // always on, so the annotation-heavy paths get exercised.
-    const bool unknown_stores =
-        !dfg::findUnknownAddressStores(*ldfg).empty();
-    const auto inductions = dfg::findInductionRegs(*ldfg);
-    bool reg_carried = false;
-    for (int reg : ldfg->writtenRegs()) {
-        if (!ldfg->liveIns().count(reg))
-            continue;
-        bool is_induction = false;
-        for (const auto &ind : inductions)
-            is_induction = is_induction || ind.unified_reg == reg;
-        if (!is_induction)
-            reg_carried = true;
-    }
-    options.pipelined = true;
-    options.tile_factor =
-        (tm == 1 && !unknown_stores && !reg_carried)
-            ? std::max(1, core::ConfigBlock::maxTileFactor(map.sdfg,
-                                                           accel))
-            : 1;
-
-    core::ConfigBlock config_block(accel);
-    const accel::AcceleratorConfig config = config_block.build(
-        *ldfg, map.sdfg, options, body.front().pc,
-        body.back().pc + 4);
-
-    verify::Report report;
-    if (tm > 1) {
-        ic::FoldedInterconnect folded(noc, accel.rows);
-        report = verify::verifyPipeline(*ldfg, map.sdfg, map.unmapped,
-                                        config, accel, folded);
-    } else {
-        report = verify::verifyPipeline(*ldfg, map.sdfg, map.unmapped,
-                                        config, accel, noc);
-    }
+    const verify::Report report =
+        core::verifyTranslation(*tr, config, accel, noc);
     if (report.errorCount() != 0) {
         std::ostringstream os;
-        os << "pipeline verify failed: nodes " << ldfg->size()
-           << " tm " << tm << " tiles " << config.tileCount() << "\n"
+        os << "pipeline verify failed: nodes " << ldfg.size()
+           << " tm " << tr->options.time_multiplex << " tiles "
+           << config.tileCount() << "\n"
            << render(report);
         out.error = os.str();
         return out;
@@ -400,7 +359,7 @@ verifierFuzzCase(uint32_t seed, int axis)
     // widening fixpoint must terminate (converged), and since the
     // generator makes both streams resident, a proven-out-of-region
     // verdict on any node is a false positive by construction.
-    const absint::BodyCertificate cert = absint::analyze(*ldfg);
+    const absint::BodyCertificate cert = absint::analyze(ldfg);
     if (!cert.converged) {
         out.error = "absint fixpoint diverged";
         return out;
@@ -420,7 +379,7 @@ verifierFuzzCase(uint32_t seed, int axis)
         cert, emu.state(), absint::residentRegion(memory));
     if (inst.footprint == absint::RegionClass::ProvenOut) {
         std::ostringstream os;
-        os << "false proven-out: nodes " << ldfg->size() << " span ["
+        os << "false proven-out: nodes " << ldfg.size() << " span ["
            << inst.addr_lo << ", " << inst.addr_hi << ")";
         out.error = os.str();
     }

@@ -2,11 +2,10 @@
  * @file
  * Live-migration tests: cross-geometry checkpoint/remap/resume
  * bit-exactness across the kernel suite, warm bitstream reuse between
- * equal-height bands, cold re-translation with config-cache warming,
- * virtual-row folding onto undersized targets, blocked-PE avoidance,
- * rollback when a fault lands mid-migration, the elastic scheduler's
- * migrate-instead-of-preempt policy, and the controller's
- * drain-and-relocate path.
+ * equal-height bands, virtual-row folding onto undersized targets,
+ * blocked-PE avoidance, rollback when a fault lands mid-migration, the
+ * elastic scheduler's migrate-instead-of-preempt policy, and the
+ * controller's drain-and-relocate path.
  */
 
 #include <gtest/gtest.h>
@@ -15,7 +14,6 @@
 
 #include "fault/campaign.hh"
 #include "helpers.hh"
-#include "mesa/config_cache.hh"
 #include "migrate/migrate.hh"
 #include "sched/multicore.hh"
 #include "sched/scheduler.hh"
@@ -53,13 +51,19 @@ startOffload(const Kernel &kernel, const accel::AccelParams &src_params,
     advanceToLoop(*live.emu, kernel);
 
     live.body = kernel.loopBody();
-    const auto plan = migrate::translateBody(live.body, src_params,
-                                             core::MapperParams{}, {});
-    if (!plan)
+    core::TranslatePolicy policy;
+    policy.fold_limit = 4;
+    policy.options.pipelined = true;
+    const ic::AccelNocInterconnect noc(src_params.rows, src_params.cols,
+                                       src_params.noc_slice_width);
+    const auto tr = core::translate(live.body, src_params, noc, policy);
+    if (!tr)
         return live; // caller asserts source != nullptr
     live.source =
         std::make_unique<accel::Accelerator>(src_params, live.memory);
-    live.source->configure(plan->config);
+    live.source->configure(tr->lower(core::ConfigBlock(src_params),
+                                     live.body.front().pc,
+                                     live.body.back().pc + 4));
     const auto r = live.source->run(live.emu->state(), source_iterations);
     EXPECT_GT(r.iterations, 0u);
     EXPECT_FALSE(r.completed) << "source ran to completion; nothing "
@@ -143,34 +147,6 @@ TEST(Migrate, WarmMoveBetweenEqualBandsReusesBitstream)
     live.emu->run(50'000'000);
     EXPECT_EQ(live.emu->state(), golden.state);
     EXPECT_TRUE(sameMemory(live.memory.snapshot(), golden.memory));
-}
-
-TEST(Migrate, ColdMoveWarmsTheConfigCacheForTheNextMigration)
-{
-    const Kernel kernel = kernelByName("hotspot", {128});
-    auto live = startOffload(kernel, accel::AccelParams::m128(), 32);
-    ASSERT_TRUE(live.source);
-
-    const auto target = accel::AccelParams::m128().subArray(0, 8);
-    core::ConfigCache cache;
-
-    const auto cold = migrate::planMigration(
-        live.body, live.source->config(), target, core::MapperParams{},
-        {}, false, &cache);
-    ASSERT_TRUE(cold.has_value());
-    EXPECT_FALSE(cold->warm);
-    EXPECT_GT(cold->cost.encode_cycles + cold->cost.mapping_cycles, 0u);
-
-    // Same body, same geometry, same cache: the translated config is
-    // found by body CRC and the translation cost vanishes.
-    const auto warm = migrate::planMigration(
-        live.body, live.source->config(), target, core::MapperParams{},
-        {}, false, &cache);
-    ASSERT_TRUE(warm.has_value());
-    EXPECT_TRUE(warm->warm);
-    EXPECT_EQ(warm->cost.encode_cycles, 0u);
-    EXPECT_EQ(warm->cost.mapping_cycles, 0u);
-    EXPECT_EQ(warm->config.slots.size(), cold->config.slots.size());
 }
 
 TEST(Migrate, FoldsOntoUndersizedTargetAndStaysBitExact)

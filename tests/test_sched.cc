@@ -242,3 +242,24 @@ TEST(Scheduler, ControllerRoutesOffloadsThroughArbiter)
     EXPECT_TRUE(emu.halted());
     EXPECT_TRUE(sameMemory(memory.snapshot(), want.memory));
 }
+
+TEST(Scheduler, TilingObeysTheTranslationSafetyGates)
+{
+    // bfs carries the parallel hint but fails the tiling safety gates
+    // (data-dependent store addresses): enabling tiling must leave
+    // its schedule untouched, and the result must stay golden.
+    const Kernel kernel = kernelByName("bfs", {1024});
+    const GoldenResult want = runReference(kernel);
+    auto makespan = [&](bool tiling) {
+        sched::SharedRunParams params;
+        params.sched = baseParams(1);
+        params.sched.enable_tiling = tiling;
+        mem::MainMemory memory;
+        const auto res = sched::runShared(params, memory, kernel, 2);
+        EXPECT_TRUE(res.all_completed);
+        EXPECT_TRUE(sameMemory(memory.snapshot(), want.memory))
+            << "tiling " << tiling;
+        return res.makespan_cycles;
+    };
+    EXPECT_EQ(makespan(true), makespan(false));
+}
