@@ -92,14 +92,15 @@ Cache::flush()
 }
 
 MemHierarchy::MemHierarchy(const HierarchyParams &params)
-    : params_(params), l1_("l1", params.l1), l2_("l2", params.l2)
+    : MemHierarchy(params, nullptr)
 {
 }
 
 MemHierarchy::MemHierarchy(const HierarchyParams &params, Cache *shared_l2)
-    : params_(params), l1_("l1", params.l1), l2_("l2-unused", params.l2),
-      shared_l2_(shared_l2)
+    : params_(params), l1_("l1", params.l1), shared_l2_(shared_l2)
 {
+    if (!shared_l2_)
+        own_l2_.emplace("l2", params.l2);
 }
 
 uint32_t

@@ -10,6 +10,7 @@
 #define MESA_MEM_CACHE_HH
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -120,7 +121,8 @@ class MemHierarchy
 
     /**
      * Construct with an externally owned, shared L2 (multicore: each
-     * core keeps a private L1 but all cores contend in one L2).
+     * core keeps a private L1 but all cores contend in one L2). The
+     * hierarchy then holds no L2 of its own.
      */
     MemHierarchy(const HierarchyParams &params, Cache *shared_l2);
 
@@ -139,9 +141,12 @@ class MemHierarchy
 
     uint64_t accesses() const { return amat_.count(); }
     Cache &l1() { return l1_; }
-    Cache &l2() { return shared_l2_ ? *shared_l2_ : l2_; }
+    Cache &l2() { return shared_l2_ ? *shared_l2_ : *own_l2_; }
     const Cache &l1() const { return l1_; }
-    const Cache &l2() const { return shared_l2_ ? *shared_l2_ : l2_; }
+    const Cache &l2() const
+    {
+        return shared_l2_ ? *shared_l2_ : *own_l2_;
+    }
     uint32_t dramLatency() const { return params_.dram_latency; }
 
     /** Accesses that went all the way to DRAM (L2 misses seen here). */
@@ -165,7 +170,7 @@ class MemHierarchy
   private:
     HierarchyParams params_;
     Cache l1_;
-    Cache l2_;
+    std::optional<Cache> own_l2_; ///< Engaged iff no shared L2 is given.
     Cache *shared_l2_ = nullptr;
     Average amat_;
     Counter dram_accesses_{"dram_accesses"};

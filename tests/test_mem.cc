@@ -7,10 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "mem/cache.hh"
 #include "mem/lsq.hh"
 #include "mem/memory.hh"
 #include "util/logging.hh"
+#include "util/stats_registry.hh"
 
 namespace
 {
@@ -183,6 +186,37 @@ TEST(Hierarchy, SharedL2)
     const uint32_t lat = b.accessLatency(0x5000, false);
     EXPECT_EQ(lat, p.l1.hit_latency + p.l2.hit_latency);
     EXPECT_EQ(b.dramAccesses(), 0u);
+}
+
+TEST(Hierarchy, SharedL2IsTheOnlyL2)
+{
+    // A hierarchy over a shared L2 holds no L2 of its own: l2() and
+    // the registered stats both resolve to the shared cache.
+    HierarchyParams p;
+    Cache shared("shared-l2", p.l2);
+    MemHierarchy h(p, &shared);
+    EXPECT_EQ(&h.l2(), &shared);
+    EXPECT_EQ(&std::as_const(h).l2(), &shared);
+
+    StatsRegistry reg;
+    h.registerStats(reg, "cpu.");
+    h.accessLatency(0x7000, false); // L1 miss, shared L2 miss
+    h.accessLatency(0x7000, false); // L1 hit
+    EXPECT_EQ(shared.misses(), 1u);
+    EXPECT_EQ(reg.value("cpu.l2.misses"), 1.0);
+    shared.access(0x7000, false); // another core's hit, same counters
+    EXPECT_EQ(reg.value("cpu.l2.hits"), 1.0);
+
+    // Without a shared L2 the hierarchy still owns one.
+    MemHierarchy own(p);
+    EXPECT_NE(&own.l2(), &shared);
+    EXPECT_EQ(own.accessLatency(0x7000, false),
+              p.l1.hit_latency + p.l2.hit_latency + p.dram_latency);
+    EXPECT_EQ(own.l2().misses(), 1u);
+    own.l1().flush();
+    EXPECT_EQ(own.accessLatency(0x7000, false),
+              p.l1.hit_latency + p.l2.hit_latency);
+    EXPECT_EQ(shared.misses(), 1u);
 }
 
 TEST(Hierarchy, NextLinePrefetcherHelpsStreams)

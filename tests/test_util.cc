@@ -11,6 +11,7 @@
 #include <cmath>
 #include <limits>
 #include <sstream>
+#include <unordered_map>
 #include <vector>
 
 #include "util/debug.hh"
@@ -105,10 +106,137 @@ TEST(SlotPool, LongFullSpanStaysFast)
     // A runaway region held only by the watchdog books hundreds of
     // thousands of same-ready slots; the skip links keep each acquire
     // near-constant instead of walking the whole full span (which
-    // made such campaigns quadratic).
+    // made such campaigns quadratic). Past 65536 booked cycles every
+    // acquire also checks the prune, whose floor is 0 here: that
+    // no-op prune must cost O(1). The volatile read keeps the
+    // compiler from folding the floor and deleting the check.
+    volatile uint64_t seven = 7;
     SlotPool pool(2);
     for (uint64_t i = 0; i < 200'000; ++i)
-        ASSERT_EQ(pool.acquire(7), 7 + i / 2);
+        ASSERT_EQ(pool.acquire(seven), 7 + i / 2);
+}
+
+/**
+ * Test oracle: the original two-hash-map SlotPool (cycle -> count,
+ * full cycle -> next possibly-free cycle, with the prune at 65536
+ * booked cycles). SlotPool must book exactly the cycles this does.
+ */
+class ReferenceSlotPool
+{
+  public:
+    explicit ReferenceSlotPool(unsigned capacity) : capacity_(capacity) {}
+
+    uint64_t
+    acquire(uint64_t ready)
+    {
+        const uint64_t cycle = skipFull(ready);
+        unsigned &count = used_[cycle];
+        ++count;
+        if (count >= capacity_)
+            next_free_[cycle] = cycle + 1;
+        maybePrune(ready);
+        return cycle;
+    }
+
+    void
+    reset()
+    {
+        used_.clear();
+        next_free_.clear();
+    }
+
+    size_t bookedCycles() const { return used_.size(); }
+
+  private:
+    uint64_t
+    skipFull(uint64_t cycle)
+    {
+        auto it = next_free_.find(cycle);
+        while (it != next_free_.end()) {
+            const auto chase = next_free_.find(it->second);
+            if (chase == next_free_.end()) {
+                cycle = it->second;
+                break;
+            }
+            it->second = chase->second; // path halving
+            cycle = chase->second;
+            it = next_free_.find(cycle);
+        }
+        return cycle;
+    }
+
+    void
+    maybePrune(uint64_t ready)
+    {
+        if (used_.size() < 65536)
+            return;
+        const uint64_t floor = ready > 16384 ? ready - 16384 : 0;
+        std::erase_if(used_,
+                      [floor](const auto &kv) { return kv.first < floor; });
+        std::erase_if(next_free_,
+                      [floor](const auto &kv) { return kv.first < floor; });
+    }
+
+    unsigned capacity_;
+    std::unordered_map<uint64_t, unsigned> used_;
+    std::unordered_map<uint64_t, uint64_t> next_free_;
+};
+
+TEST(SlotPool, MatchesReferenceAcrossPrunes)
+{
+    // Fixed-seed streams, mostly monotone with jitter, long enough to
+    // pass 65536 booked cycles several times so the prune fires
+    // repeatedly. Mixed in: far-future bookings, requests below an
+    // already-pruned floor, a saturated span held at one ready cycle
+    // (no-op prunes), and a reset() midway.
+    for (const unsigned capacity : {1u, 2u, 4u, 8u}) {
+        SCOPED_TRACE(capacity);
+        SlotPool pool(capacity);
+        ReferenceSlotPool ref(capacity);
+        uint64_t x = 0x243f6a8885a308d3ull ^ capacity; // xorshift64
+        auto next = [&]() {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            return x;
+        };
+        uint64_t horizon = 0;
+        auto check = [&](uint64_t ready) {
+            const uint64_t got = pool.acquire(ready);
+            ASSERT_EQ(got, ref.acquire(ready)) << "ready " << ready;
+        };
+        const uint64_t steps = 3 * 65536 * 5 / 2;
+        for (uint64_t i = 0; i < steps; ++i) {
+            if (i == steps / 2) {
+                pool.reset();
+                ref.reset();
+                horizon = next() % 1000;
+            }
+            // Advance about one cycle per booking so distinct cycles
+            // accumulate at every capacity.
+            horizon += next() % 3;
+            const uint64_t roll = next() % 1000;
+            uint64_t ready = horizon;
+            if (roll == 0)
+                ready = horizon + 20'000 + next() % 80'000; // far future
+            else if (roll < 3 && horizon > 40'000)
+                ready = horizon - 20'000 - next() % 20'000; // below floor
+            else if (roll < 250)
+                ready = horizon > 64 ? horizon - next() % 64 : horizon;
+            ASSERT_NO_FATAL_FAILURE(check(ready));
+            if (i == steps / 4) {
+                // Hold one ready cycle until 65536 cycles are booked
+                // with none below the floor, then keep going: each of
+                // these prunes drops nothing.
+                const uint64_t held = horizon;
+                while (ref.bookedCycles() < 65536)
+                    ASSERT_NO_FATAL_FAILURE(check(held));
+                for (int k = 0; k < 200; ++k)
+                    ASSERT_NO_FATAL_FAILURE(check(held));
+                horizon = held + 70'000;
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
