@@ -1,6 +1,7 @@
 #include "mesa/controller.hh"
 
 #include <algorithm>
+#include <array>
 
 #include "dfg/unroll.hh"
 #include "fault/checkpoint.hh"
@@ -17,19 +18,152 @@ using cpu::RegionMonitor;
 using riscv::Instruction;
 using riscv::TraceEntry;
 
-const char *
-fallbackReasonName(FallbackReason reason)
+/**
+ * Every point event the controller counts or traces as an instant
+ * (paper §4: offload, reject, reconfigure, fault, rollback, relocate).
+ * Each has exactly one row in kEvents below; the config cache counts
+ * its own hits and misses.
+ */
+enum class ControllerEvent : uint8_t
 {
-    switch (reason) {
-      case FallbackReason::None: return "none";
-      case FallbackReason::VerifyDirty: return "verify_dirty";
-      case FallbackReason::FaultDetected: return "fault_detected";
-      case FallbackReason::Watchdog: return "watchdog";
-      case FallbackReason::Structural: return "structural";
-      case FallbackReason::Quarantined: return "quarantined";
-    }
-    return "?";
+    // Offloads and their translation phases.
+    Offload, Rejection, EncodeCycles, MappingCycles, ConfigCycles,
+    ImapInstructions,
+    // Reconfiguration and the iterative optimizer.
+    Reconfig, ReconfigCycles, OptimizerAttempt, OptimizerRemap,
+    // Device-loop epochs.
+    Epoch, AccelCycles, AccelIterations,
+    // Fallbacks, in FallbackReason order (None has no row).
+    FallbackVerifyDirty, FallbackFaultDetected, FallbackWatchdog,
+    FallbackStructural, FallbackQuarantined,
+    // The verify-before-offload gate.
+    VerifyChecked, VerifyViolations, VerifyFallback,
+    // Persistent translation store, in PersistOutcome order (Disabled
+    // has no row).
+    PersistHit, PersistMiss, PersistCorrupt, PersistVersionSkew,
+    PersistKeyMismatch, PersistStored, PersistStoreFailed,
+    // Fault detection, recovery and quarantine.
+    CrcFailure, WatchdogTrip, WatchdogRollback, CheckedRun,
+    GoldenMismatch, Rollback, CpuReexec, SelfTest, PeQuarantine,
+    RegionQuarantineEnter, RegionQuarantineExit,
+    // Drain-and-relocate.
+    Relocation, RelocationSuccess, RelocateTranslateCycles,
+    RelocateStreamCycles,
+    // Certificate gating.
+    Certificate, Certified, SnapshotSkip, BudgetTightened, TripWatchdog,
+    Count
+};
+
+namespace
+{
+
+using Event = ControllerEvent;
+
+/**
+ * The event catalog, indexed by event. A row with a stat path is a
+ * counter, registered while its gate is open; a row with a track is a
+ * trace instant, recorded whenever tracing is active. A counter and
+ * an instant that fire under different conditions are two rows.
+ */
+constexpr auto kEvents = [] {
+    using enum ControllerEvent;
+    using enum StatGate;
+    std::array<EventInfo, size_t(Count)> t{};
+    auto row = [&t](Event e, EventInfo info) { t[size_t(e)] = info; };
+    row(Offload, {"mesa.offloads", Always});
+    row(Rejection, {"mesa.rejections", Always});
+    row(EncodeCycles, {"mesa.phase.encode_cycles", Always});
+    row(MappingCycles, {"mesa.phase.mapping_cycles", Always});
+    row(ConfigCycles, {"mesa.phase.config_cycles", Always});
+    row(ImapInstructions, {"mesa.imap.instructions", Always});
+    row(Reconfig, {"mesa.reconfig.count", Always});
+    row(ReconfigCycles, {"mesa.reconfig.cycles", Always});
+    row(OptimizerAttempt, {"mesa.optimizer.attempts", Always});
+    row(OptimizerRemap, {"mesa.optimizer.remaps", Always});
+    row(Epoch, {"mesa.epochs", Always});
+    row(AccelCycles, {"accel.cycles", Always});
+    row(AccelIterations, {"accel.iterations", Always});
+    // Structural and verify fallbacks happen in any mode.
+    row(FallbackVerifyDirty, {"mesa.fallback.verify_dirty", Always});
+    row(FallbackFaultDetected, {"mesa.fallback.fault_detected", Always});
+    row(FallbackWatchdog, {"mesa.fallback.watchdog", Always});
+    row(FallbackStructural, {"mesa.fallback.structural", Always});
+    row(FallbackQuarantined, {"mesa.fallback.quarantined", Always});
+    row(VerifyChecked, {"mesa.verify.configs_checked", Verify});
+    row(VerifyViolations, {"mesa.verify.violations", Verify});
+    row(VerifyFallback, {"mesa.verify.fallbacks", Verify});
+    // Only with a cache directory, so runs without one keep their
+    // stats output byte-identical to builds without the store.
+    row(PersistHit, {"mesa.cache.persist_hits", Store});
+    row(PersistMiss, {"mesa.cache.persist_misses", Store});
+    row(PersistCorrupt, {"mesa.cache.persist_corrupt", Store});
+    row(PersistVersionSkew, {"mesa.cache.persist_version_skew", Store});
+    row(PersistKeyMismatch, {"mesa.cache.persist_key_mismatch", Store});
+    row(PersistStored, {"mesa.cache.persist_stores", Store});
+    row(PersistStoreFailed, {"mesa.cache.persist_store_failures", Store});
+    row(CrcFailure,
+        {"mesa.fault.crc_failures", Fault, "mesa.fault", "crc-mismatch"});
+    row(WatchdogTrip, {"mesa.fault.watchdog_trips", Fault, "mesa.fault",
+                       "watchdog-trip"});
+    // A golden mismatch rolls back too, but only a watchdog trip
+    // traces it.
+    row(WatchdogRollback, {nullptr, Fault, "mesa.fault", "rollback"});
+    row(CheckedRun, {"mesa.fault.checked_runs", Fault});
+    row(GoldenMismatch, {"mesa.fault.mismatches", Fault, "mesa.fault",
+                         "golden-mismatch"});
+    row(Rollback, {"mesa.fault.rollbacks", Fault});
+    row(CpuReexec, {"mesa.fault.cpu_reexec_instructions", Fault});
+    row(SelfTest, {"mesa.fault.self_tests", Fault});
+    row(PeQuarantine, {"mesa.fault.quarantined_pes", Fault, "mesa.fault",
+                       "pe-quarantine"});
+    row(RegionQuarantineEnter,
+        {nullptr, Fault, "mesa.fault", "region-quarantine-enter"});
+    row(RegionQuarantineExit,
+        {nullptr, Fault, "mesa.fault", "region-quarantine-exit"});
+    row(Relocation, {"mesa.migrate.relocations", FaultMigrate});
+    row(RelocationSuccess,
+        {"mesa.migrate.relocation_success", FaultMigrate});
+    row(RelocateTranslateCycles,
+        {"mesa.migrate.translate_cycles", FaultMigrate});
+    row(RelocateStreamCycles,
+        {"mesa.migrate.stream_cycles", FaultMigrate});
+    // Every gated offload traces its certificate; only a proven-in
+    // footprint counts as certified.
+    row(Certificate, {nullptr, FaultCertify, "mesa.absint", "certificate"});
+    row(Certified, {"mesa.absint.certified", FaultCertify});
+    row(SnapshotSkip, {"mesa.absint.snapshot_skips", FaultCertify});
+    row(BudgetTightened, {"mesa.absint.budget_tightened", FaultCertify});
+    row(TripWatchdog, {"mesa.absint.trip_watchdogs", FaultCertify,
+                       "mesa.absint", "trip-watchdog"});
+    return t;
+}();
+
+static_assert(std::ranges::all_of(kEvents, [](const EventInfo &e) {
+                  return e.stat || (e.track && e.instant);
+              }),
+              "every event needs a counter or an instant");
+
+constexpr Event
+fallbackEvent(FallbackReason reason)
+{
+    if (reason == FallbackReason::None)
+        panic("FallbackReason::None has no event");
+    return Event(size_t(Event::FallbackVerifyDirty) + size_t(reason) - 1);
 }
+static_assert(fallbackEvent(FallbackReason::Quarantined) ==
+              Event::FallbackQuarantined);
+
+constexpr Event
+persistEvent(PersistOutcome outcome)
+{
+    if (outcome == PersistOutcome::Disabled)
+        panic("PersistOutcome::Disabled has no event");
+    return Event(size_t(Event::PersistHit) + size_t(outcome) - 1);
+}
+static_assert(persistEvent(PersistOutcome::StoreFailed) ==
+              Event::PersistStoreFailed);
+
+} // namespace
 
 void
 TransparentRunResult::registerInto(StatsRegistry &registry,
@@ -96,17 +230,40 @@ TransparentRunResult::registerInto(StatsRegistry &registry,
     }
 }
 
-StatGroup
-TransparentRunResult::toStats(const std::string &name) const
+std::span<const EventInfo>
+MesaController::eventCatalog()
 {
-    // One flattening walk, shared with --stats-json: register into a
-    // scratch registry, then copy the scalar views into the group.
-    StatsRegistry registry;
-    registerInto(registry);
-    StatGroup g(name);
-    for (const auto &[key, value] : registry.flatValues())
-        g.set(key, value);
-    return g;
+    return kEvents;
+}
+
+bool
+MesaController::gateOpen(StatGate gate) const
+{
+    const fault::FaultToleranceParams &fp = params_.fault;
+    switch (gate) {
+      case StatGate::Always: return true;
+      case StatGate::Verify: return params_.verify_before_offload;
+      case StatGate::Store: return TranslationStore::global().enabled();
+      case StatGate::Fault: return fp.enabled;
+      case StatGate::FaultMigrate:
+        return fp.enabled && fp.migrate_on_fault;
+      case StatGate::FaultCertify:
+        return fp.enabled && fp.certificate_gating;
+    }
+    return false;
+}
+
+void
+MesaController::emit(Event event, uint64_t n,
+                     std::initializer_list<TraceArg> args)
+{
+    if (Counter *c = counters_[size_t(event)])
+        *c += n;
+    const EventInfo &info = kEvents[size_t(event)];
+    if (info.instant && Tracer::active()) {
+        Tracer &tracer = Tracer::global();
+        tracer.instant(info.track, info.instant, tracer.now(), args);
+    }
 }
 
 void
@@ -116,102 +273,22 @@ MesaController::attachStats(StatsRegistry *registry,
     stats_ = registry;
     snapshot_iterations_ = snapshot_iterations;
     snapshot_accum_ = 0;
-    live_ = LiveStats{};
+    counters_.assign(kEvents.size(), nullptr);
+    epoch_cycles_ = nullptr;
+    epoch_cycles_per_iter_ = nullptr;
     verify_rule_counters_.clear();
     if (!stats_)
         return;
-    live_.offloads = &stats_->counter("mesa.offloads");
-    live_.rejections = &stats_->counter("mesa.rejections");
+    for (size_t e = 0; e < kEvents.size(); ++e)
+        if (kEvents[e].stat && gateOpen(kEvents[e].gate))
+            counters_[e] = &stats_->counter(kEvents[e].stat);
     config_cache_.registerStats(*stats_, "mesa.config_cache.");
-    live_.encode_cycles = &stats_->counter("mesa.phase.encode_cycles");
-    live_.mapping_cycles = &stats_->counter("mesa.phase.mapping_cycles");
-    live_.config_cycles = &stats_->counter("mesa.phase.config_cycles");
-    live_.imap_instructions = &stats_->counter("mesa.imap.instructions");
-    live_.reconfig_count = &stats_->counter("mesa.reconfig.count");
-    live_.reconfig_cycles = &stats_->counter("mesa.reconfig.cycles");
-    live_.optimizer_attempts =
-        &stats_->counter("mesa.optimizer.attempts");
-    live_.optimizer_remaps = &stats_->counter("mesa.optimizer.remaps");
-    live_.epochs = &stats_->counter("mesa.epochs");
-    live_.accel_cycles = &stats_->counter("accel.cycles");
-    live_.accel_iterations = &stats_->counter("accel.iterations");
-    live_.epoch_cycles =
-        &stats_->histogram("mesa.epoch.cycles", 32, 256.0);
-    live_.epoch_cycles_per_iter =
+    epoch_cycles_ = &stats_->histogram("mesa.epoch.cycles", 32, 256.0);
+    epoch_cycles_per_iter_ =
         &stats_->average("mesa.epoch.cycles_per_iter");
-    if (params_.verify_before_offload) {
-        live_.verify_checked =
-            &stats_->counter("mesa.verify.configs_checked");
-        live_.verify_violations =
-            &stats_->counter("mesa.verify.violations");
-        live_.verify_fallbacks =
-            &stats_->counter("mesa.verify.fallbacks");
-    }
-    // Persistent translation-store counters exist only when a cache
-    // directory is configured, so runs without one keep their stats
-    // output byte-identical to builds without the store.
-    if (TranslationStore::global().enabled()) {
-        live_.persist_hits =
-            &stats_->counter("mesa.cache.persist_hits");
-        live_.persist_misses =
-            &stats_->counter("mesa.cache.persist_misses");
-        live_.persist_corrupt =
-            &stats_->counter("mesa.cache.persist_corrupt");
-        live_.persist_version_skew =
-            &stats_->counter("mesa.cache.persist_version_skew");
-        live_.persist_key_mismatch =
-            &stats_->counter("mesa.cache.persist_key_mismatch");
-        live_.persist_stores =
-            &stats_->counter("mesa.cache.persist_stores");
-        live_.persist_store_failures =
-            &stats_->counter("mesa.cache.persist_store_failures");
-    }
-    // The unified fallback taxonomy is always registered: structural
-    // and verify fallbacks happen in any mode.
-    for (int r = 1; r < FallbackReasonCount; ++r)
-        live_.fallbacks[r] = &stats_->counter(
-            std::string("mesa.fallback.") +
-            fallbackReasonName(FallbackReason(r)));
-    if (params_.fault.enabled) {
-        live_.fault_crc_failures =
-            &stats_->counter("mesa.fault.crc_failures");
-        live_.fault_watchdog_trips =
-            &stats_->counter("mesa.fault.watchdog_trips");
-        live_.fault_checked_runs =
-            &stats_->counter("mesa.fault.checked_runs");
-        live_.fault_mismatches =
-            &stats_->counter("mesa.fault.mismatches");
-        live_.fault_rollbacks = &stats_->counter("mesa.fault.rollbacks");
-        live_.fault_cpu_reexec =
-            &stats_->counter("mesa.fault.cpu_reexec_instructions");
-        live_.fault_self_tests =
-            &stats_->counter("mesa.fault.self_tests");
-        live_.fault_quarantined_pes =
-            &stats_->counter("mesa.fault.quarantined_pes");
-        // Live gauges: current quarantine/retirement state (scalars,
-        // overwritten in place at every transition).
-        updateFaultGauges();
-        if (params_.fault.migrate_on_fault) {
-            live_.migrate_relocations =
-                &stats_->counter("mesa.migrate.relocations");
-            live_.migrate_relocation_success =
-                &stats_->counter("mesa.migrate.relocation_success");
-            live_.migrate_translate_cycles =
-                &stats_->counter("mesa.migrate.translate_cycles");
-            live_.migrate_stream_cycles =
-                &stats_->counter("mesa.migrate.stream_cycles");
-        }
-        if (params_.fault.certificate_gating) {
-            live_.absint_certified =
-                &stats_->counter("mesa.absint.certified");
-            live_.absint_snapshot_skips =
-                &stats_->counter("mesa.absint.snapshot_skips");
-            live_.absint_budget_tightened =
-                &stats_->counter("mesa.absint.budget_tightened");
-            live_.absint_trip_watchdogs =
-                &stats_->counter("mesa.absint.trip_watchdogs");
-        }
-    }
+    // Live gauges: current quarantine/retirement state (scalars,
+    // overwritten in place at every transition).
+    updateFaultGauges();
 }
 
 void
@@ -241,13 +318,6 @@ MesaController::profileCapture(const std::array<uint64_t, 3> &mark,
     os.prof_mem_stall_cycles = profile_->mem_stall_cycles - mark[2];
 }
 
-void
-MesaController::bumpFallback(FallbackReason reason)
-{
-    if (stats_ && live_.fallbacks[int(reason)])
-        ++*live_.fallbacks[int(reason)];
-}
-
 Counter &
 MesaController::verifyRuleCounter(const std::string &rule)
 {
@@ -266,14 +336,13 @@ MesaController::verifyPrepared(const Prepared &prep)
         prep, prep.config, params_.accel, accel_.interconnect());
 
     const bool clean = report.clean();
-    if (stats_) {
-        ++*live_.verify_checked;
-        *live_.verify_violations += report.errorCount();
-        if (!clean)
-            ++*live_.verify_fallbacks;
+    emit(Event::VerifyChecked);
+    emit(Event::VerifyViolations, report.errorCount());
+    if (!clean)
+        emit(Event::VerifyFallback);
+    if (stats_)
         for (const auto &[rule, count] : report.countsByRule())
             verifyRuleCounter(rule) += count;
-    }
     if (!clean) {
         DTRACE("controller",
                "verify gate rejected region 0x"
@@ -287,12 +356,10 @@ uint64_t
 MesaController::tracePreparePhases(const Prepared &prep,
                                    const OffloadStats &os, uint64_t t0)
 {
-    if (stats_) {
-        *live_.encode_cycles += os.encode_cycles;
-        *live_.mapping_cycles += os.mapping_cycles;
-        *live_.config_cycles += os.config_cycles;
-        *live_.imap_instructions += prep.map.imap_trace.size();
-    }
+    emit(Event::EncodeCycles, os.encode_cycles);
+    emit(Event::MappingCycles, os.mapping_cycles);
+    emit(Event::ConfigCycles, os.config_cycles);
+    emit(Event::ImapInstructions, prep.map.imap_trace.size());
     if (!Tracer::active())
         return t0 + os.totalConfigCycles();
 
@@ -343,32 +410,7 @@ MesaController::MesaController(const MesaParams &params,
     // Persistent translation-store key component; params_ is fixed
     // from here on, so the fingerprint is computed once.
     params_crc_ = paramsFingerprint(params_);
-}
-
-void
-MesaController::bumpPersist(PersistOutcome outcome)
-{
-    if (!stats_)
-        return;
-    Counter *c = nullptr;
-    switch (outcome) {
-      case PersistOutcome::Hit: c = live_.persist_hits; break;
-      case PersistOutcome::Miss: c = live_.persist_misses; break;
-      case PersistOutcome::Corrupt: c = live_.persist_corrupt; break;
-      case PersistOutcome::VersionSkew:
-        c = live_.persist_version_skew;
-        break;
-      case PersistOutcome::KeyMismatch:
-        c = live_.persist_key_mismatch;
-        break;
-      case PersistOutcome::Stored: c = live_.persist_stores; break;
-      case PersistOutcome::StoreFailed:
-        c = live_.persist_store_failures;
-        break;
-      case PersistOutcome::Disabled: break;
-    }
-    if (c)
-        ++*c;
+    counters_.assign(kEvents.size(), nullptr);
 }
 
 bool
@@ -403,7 +445,7 @@ MesaController::prepare(const std::vector<Instruction> &body,
                               parallel_hint};
         Prepared warm;
         const PersistOutcome outcome = tstore.load(tkey, warm);
-        bumpPersist(outcome);
+        emit(persistEvent(outcome));
         if (outcome == PersistOutcome::Hit) {
             // Replay the verify gate so mesa.verify.* counters (and a
             // potential veto) match a cold translation exactly.
@@ -514,7 +556,7 @@ MesaController::prepare(const std::vector<Instruction> &body,
     // only offloadable entries ever land on disk). A corrupt or
     // version-skewed file is overwritten here, self-healing the store.
     if (tstore.enabled())
-        bumpPersist(tstore.store(tkey, prep));
+        emit(persistEvent(tstore.store(tkey, prep)));
     return prep;
 }
 
@@ -564,20 +606,21 @@ MesaController::runWithOptimization(Prepared &prep,
         os.accel_cycles += res.cycles;
         os.accel_iterations += res.iterations;
         remaining -= std::min(remaining, res.iterations);
+        emit(Event::Epoch);
+        emit(Event::AccelCycles, res.cycles);
+        emit(Event::AccelIterations, res.iterations);
         if (stats_) {
-            ++*live_.epochs;
-            *live_.accel_cycles += res.cycles;
-            *live_.accel_iterations += res.iterations;
-            live_.epoch_cycles->sample(double(res.cycles));
+            epoch_cycles_->sample(double(res.cycles));
             if (res.iterations > 0)
-                live_.epoch_cycles_per_iter->sample(
+                epoch_cycles_per_iter_->sample(
                     double(res.cycles) / double(res.iterations));
             snapshot_accum_ += res.iterations;
             if (snapshot_iterations_ > 0 &&
                 snapshot_accum_ >= snapshot_iterations_) {
-                stats_->snapshot(
-                    "iter" +
-                    std::to_string(live_.accel_iterations->value()));
+                const Counter &iterations =
+                    *counters_[size_t(Event::AccelIterations)];
+                stats_->snapshot("iter" +
+                                 std::to_string(iterations.value()));
                 snapshot_accum_ = 0;
             }
         }
@@ -606,8 +649,7 @@ MesaController::runWithOptimization(Prepared &prep,
             continue;
 
         ++attempts;
-        if (stats_)
-            ++*live_.optimizer_attempts;
+        emit(Event::OptimizerAttempt);
         IterativeOptimizer::applyFeedback(prep.ldfg, accel_);
 
         // Loop-level feedback first: if the profiled epoch left grid
@@ -631,10 +673,8 @@ MesaController::runWithOptimization(Prepared &prep,
                     : config_block_.configCycles(prep.config);
             os.reconfig_cycles += cost;
             os.tile_factor = prep.config.tileCount();
-            if (stats_) {
-                ++*live_.reconfig_count;
-                *live_.reconfig_cycles += cost;
-            }
+            emit(Event::Reconfig);
+            emit(Event::ReconfigCycles, cost);
             if (Tracer::active())
                 tracer.span("mesa.ctrl",
                             params_.shadow_config ? "shadow-swap"
@@ -676,13 +716,11 @@ MesaController::runWithOptimization(Prepared &prep,
                 prep.map.mapping_cycles + stream_cost;
             os.reconfig_cycles += cost;
             os.model_latency = outcome.new_model_latency;
-            if (stats_) {
-                ++*live_.reconfig_count;
-                ++*live_.optimizer_remaps;
-                *live_.reconfig_cycles += cost;
-                *live_.mapping_cycles += prep.map.mapping_cycles;
-                *live_.imap_instructions += prep.map.imap_trace.size();
-            }
+            emit(Event::Reconfig);
+            emit(Event::OptimizerRemap);
+            emit(Event::ReconfigCycles, cost);
+            emit(Event::MappingCycles, prep.map.mapping_cycles);
+            emit(Event::ImapInstructions, prep.map.imap_trace.size());
             if (Tracer::active()) {
                 tracer.span(
                     "mesa.ctrl", "remap", cursor, cost,
@@ -712,29 +750,24 @@ MesaController::cpuReexecute(riscv::ArchState &state, OffloadStats &os)
         os.region_start, os.region_end, params_.fault.max_golden_steps);
     state = cpu.state();
     os.cpu_reexec_instructions += steps;
-    if (stats_ && live_.fault_cpu_reexec)
-        *live_.fault_cpu_reexec += steps;
+    emit(Event::CpuReexec, steps);
 }
 
 void
 MesaController::onFaultDetected(OffloadStats &os)
 {
-    bumpFallback(os.fallback);
-    const bool entered = quarantine_.onFault(os.region_start);
-    if (entered && Tracer::active())
-        Tracer::global().instant(
-            "mesa.fault", "region-quarantine-enter",
-            Tracer::global().now(),
-            {{"pc", uint64_t(os.region_start)},
-             {"strikes",
-              uint64_t(quarantine_.strikes(os.region_start))}});
+    emit(fallbackEvent(os.fallback));
+    if (quarantine_.onFault(os.region_start))
+        emit(Event::RegionQuarantineEnter, 1,
+             {{"pc", uint64_t(os.region_start)},
+              {"strikes",
+               uint64_t(quarantine_.strikes(os.region_start))}});
     config_cache_.invalidate(os.region_start);
     if (!params_.fault.self_test_on_fault) {
         updateFaultGauges();
         return;
     }
-    if (stats_ && live_.fault_self_tests)
-        ++*live_.fault_self_tests;
+    emit(Event::SelfTest);
     const std::vector<ic::Coord> bad = accel_.selfTest();
     size_t newly = 0;
     for (const ic::Coord pos : bad)
@@ -751,16 +784,12 @@ MesaController::onFaultDetected(OffloadStats &os)
     mapper_.setBlockedPes(faulty_pes_.coords());
     config_cache_.clear();
     quarantine_.clear(os.region_start);
-    if (stats_ && live_.fault_quarantined_pes)
-        *live_.fault_quarantined_pes += newly;
     DTRACE("controller", "self test retired " << newly << " PE(s), "
                                               << faulty_pes_.size()
                                               << " total");
-    if (Tracer::active())
-        Tracer::global().instant(
-            "mesa.fault", "pe-quarantine", Tracer::global().now(),
-            {{"new_pes", uint64_t(newly)},
-             {"total_pes", uint64_t(faulty_pes_.size())}});
+    emit(Event::PeQuarantine, newly,
+         {{"new_pes", uint64_t(newly)},
+          {"total_pes", uint64_t(faulty_pes_.size())}});
     updateFaultGauges();
 }
 
@@ -781,8 +810,7 @@ MesaController::relocatePrepared(Prepared &prep,
 {
     if (body.empty())
         return false;
-    if (stats_ && live_.migrate_relocations)
-        ++*live_.migrate_relocations;
+    emit(Event::Relocation);
     // Re-translate around whatever the self test retired. When BIST
     // localized nothing (transients and stuck control lines are not
     // reproducible under it), this degenerates to a checkpoint-retry
@@ -800,16 +828,12 @@ MesaController::relocatePrepared(Prepared &prep,
     os.encode_cycles += prep.encode_cycles;
     os.mapping_cycles += prep.map.mapping_cycles;
     os.config_cycles += stream;
-    if (stats_) {
-        if (live_.migrate_translate_cycles)
-            *live_.migrate_translate_cycles +=
-                prep.encode_cycles + prep.map.mapping_cycles;
-        if (live_.migrate_stream_cycles)
-            *live_.migrate_stream_cycles += stream;
-        *live_.encode_cycles += prep.encode_cycles;
-        *live_.mapping_cycles += prep.map.mapping_cycles;
-        *live_.config_cycles += stream;
-    }
+    emit(Event::RelocateTranslateCycles,
+         prep.encode_cycles + prep.map.mapping_cycles);
+    emit(Event::RelocateStreamCycles, stream);
+    emit(Event::EncodeCycles, prep.encode_cycles);
+    emit(Event::MappingCycles, prep.map.mapping_cycles);
+    emit(Event::ConfigCycles, stream);
     if (Tracer::active())
         Tracer::global().span(
             "mesa.ctrl", "relocate", Tracer::global().now(),
@@ -838,12 +862,10 @@ MesaController::runGuarded(Prepared &prep, riscv::ArchState &state,
             // the loop from there. Surface the reason even without
             // fault mode.
             os.fallback = FallbackReason::Watchdog;
-            bumpFallback(os.fallback);
+            emit(fallbackEvent(os.fallback));
         }
         return;
     }
-
-    Tracer &tracer = Tracer::global();
 
     // Campaign hook: model an SEU in the stored bitstream.
     if (config_corruptor_)
@@ -852,12 +874,9 @@ MesaController::runGuarded(Prepared &prep, riscv::ArchState &state,
     // Detection point 1: re-derive the CRC before streaming.
     if (fp.crc_check &&
         accel::configCrc(prep.config) != prep.config.crc) {
-        if (stats_ && live_.fault_crc_failures)
-            ++*live_.fault_crc_failures;
-        if (Tracer::active())
-            tracer.instant("mesa.fault", "crc-mismatch", tracer.now(),
-                           {{"pc", uint64_t(os.region_start)},
-                            {"stored", uint64_t(prep.config.crc)}});
+        emit(Event::CrcFailure, 1,
+             {{"pc", uint64_t(os.region_start)},
+              {"stored", uint64_t(prep.config.crc)}});
         // The stored bitstream is corrupt, but the encoder-side LDFG
         // and mapping are intact: rebuild the configuration from them
         // and replace the poisoned cache entry.
@@ -899,9 +918,8 @@ MesaController::runGuarded(Prepared &prep, riscv::ArchState &state,
                     fp.watchdog_cycles
                         ? std::min(fp.watchdog_cycles, derived)
                         : derived;
-                if (stats_ && live_.absint_budget_tightened &&
-                    watchdog_budget == derived)
-                    ++*live_.absint_budget_tightened;
+                if (watchdog_budget == derived)
+                    emit(Event::BudgetTightened);
             }
             // Iteration watchdog: a clean run provably exits within
             // inst.trips iterations from this entry state, so the
@@ -914,14 +932,12 @@ MesaController::runGuarded(Prepared &prep, riscv::ArchState &state,
                 trip_cap_armed = true;
             }
         }
-        if (mem_proven_in && stats_ && live_.absint_certified)
-            ++*live_.absint_certified;
-        if (Tracer::active())
-            tracer.instant(
-                "mesa.absint", "certificate", tracer.now(),
-                {{"pc", uint64_t(os.region_start)},
-                 {"proven_in", mem_proven_in ? 1 : 0},
-                 {"trips", inst.trips_finite ? inst.trips : 0}});
+        if (mem_proven_in)
+            emit(Event::Certified);
+        emit(Event::Certificate, 1,
+             {{"pc", uint64_t(os.region_start)},
+              {"proven_in", mem_proven_in ? 1 : 0},
+              {"trips", inst.trips_finite ? inst.trips : 0}});
     }
 
     // Checkpoint before handing control to the fabric. The same
@@ -948,13 +964,9 @@ MesaController::runGuarded(Prepared &prep, riscv::ArchState &state,
         // a cycle-watchdog trip (rollback + CPU re-execution below).
         os.trip_watchdog = true;
         os.accel.watchdog_tripped = true;
-        if (stats_ && live_.absint_trip_watchdogs)
-            ++*live_.absint_trip_watchdogs;
-        if (Tracer::active())
-            tracer.instant("mesa.absint", "trip-watchdog",
-                           tracer.now(),
-                           {{"pc", uint64_t(os.region_start)},
-                            {"trips", effective_max}});
+        emit(Event::TripWatchdog, 1,
+             {{"pc", uint64_t(os.region_start)},
+              {"trips", effective_max}});
     }
 
     if (os.accel.watchdog_tripped) {
@@ -962,17 +974,12 @@ MesaController::runGuarded(Prepared &prep, riscv::ArchState &state,
         // overran its budget. Roll back; then either drain-and-
         // relocate (migrate_on_fault, first attempt) or re-execute on
         // the CPU.
-        if (stats_ && live_.fault_watchdog_trips)
-            ++*live_.fault_watchdog_trips;
-        if (stats_ && live_.fault_rollbacks)
-            ++*live_.fault_rollbacks;
-        if (Tracer::active()) {
-            tracer.instant("mesa.fault", "watchdog-trip", tracer.now(),
-                           {{"pc", uint64_t(os.region_start)},
-                            {"cycles", os.accel_cycles}});
-            tracer.instant("mesa.fault", "rollback", tracer.now(),
-                           {{"pc", uint64_t(os.region_start)}});
-        }
+        emit(Event::WatchdogTrip, 1,
+             {{"pc", uint64_t(os.region_start)},
+              {"cycles", os.accel_cycles}});
+        emit(Event::Rollback);
+        emit(Event::WatchdogRollback, 1,
+             {{"pc", uint64_t(os.region_start)}});
         os.fallback = FallbackReason::Watchdog;
         ckpt.restore(state, *memory_);
         if (attempt + 1 < max_attempts) {
@@ -993,8 +1000,7 @@ MesaController::runGuarded(Prepared &prep, riscv::ArchState &state,
         // Detection point 3: golden-model comparison (DMR in time).
         // Only a run that reached the loop exit is comparable — the
         // golden model executes the region to its natural exit.
-        if (stats_ && live_.fault_checked_runs)
-            ++*live_.fault_checked_runs;
+        emit(Event::CheckedRun);
         const riscv::ArchState accel_state = state;
         // A proven-in-region footprint makes the page-by-page memory
         // diff redundant as a recovery mechanism: restore + golden
@@ -1014,13 +1020,11 @@ MesaController::runGuarded(Prepared &prep, riscv::ArchState &state,
             os.region_start, os.region_end, fp.max_golden_steps);
         state = golden.state();
         os.cpu_reexec_instructions += steps;
-        if (stats_ && live_.fault_cpu_reexec)
-            *live_.fault_cpu_reexec += steps;
+        emit(Event::CpuReexec, steps);
         bool match = state == accel_state;
         if (skip_snapshot) {
             os.snapshot_skipped = true;
-            if (stats_ && live_.absint_snapshot_skips)
-                ++*live_.absint_snapshot_skips;
+            emit(Event::SnapshotSkip);
         } else {
             match = match &&
                     fault::memorySnapshotsEqual(memory_->snapshot(),
@@ -1029,14 +1033,9 @@ MesaController::runGuarded(Prepared &prep, riscv::ArchState &state,
         if (!match) {
             // state/memory already hold the golden result: detection
             // and recovery coincide on this path.
-            if (stats_ && live_.fault_mismatches)
-                ++*live_.fault_mismatches;
-            if (stats_ && live_.fault_rollbacks)
-                ++*live_.fault_rollbacks;
-            if (Tracer::active())
-                tracer.instant("mesa.fault", "golden-mismatch",
-                               tracer.now(),
-                               {{"pc", uint64_t(os.region_start)}});
+            emit(Event::GoldenMismatch, 1,
+                 {{"pc", uint64_t(os.region_start)}});
+            emit(Event::Rollback);
             os.fallback = FallbackReason::FaultDetected;
             faulted = true;
         }
@@ -1048,14 +1047,11 @@ MesaController::runGuarded(Prepared &prep, riscv::ArchState &state,
     if (faulted) {
         onFaultDetected(os);
     } else {
-        const bool rehabilitated =
-            quarantine_.onSuccess(os.region_start);
-        if (rehabilitated && Tracer::active())
-            tracer.instant("mesa.fault", "region-quarantine-exit",
-                           tracer.now(),
-                           {{"pc", uint64_t(os.region_start)}});
-        if (relocated && stats_ && live_.migrate_relocation_success)
-            ++*live_.migrate_relocation_success;
+        if (quarantine_.onSuccess(os.region_start))
+            emit(Event::RegionQuarantineExit, 1,
+                 {{"pc", uint64_t(os.region_start)}});
+        if (relocated)
+            emit(Event::RelocationSuccess);
     }
     updateFaultGauges();
 }
@@ -1071,7 +1067,7 @@ MesaController::prepareOffload(const std::vector<Instruction> &body,
     auto prep =
         prepare(body, parallel_hint, os.region_start, os.region_end);
     if (!prep) {
-        bumpFallback(last_prepare_fallback_);
+        emit(fallbackEvent(last_prepare_fallback_));
         return std::nullopt;
     }
     if (cached) {
@@ -1105,8 +1101,8 @@ MesaController::offloadLoop(const std::vector<Instruction> &body,
         req.parallel_hint = parallel_hint;
         req.max_iterations = max_iterations;
         auto served = arbiter_->serve(req);
-        if (served && stats_)
-            ++*live_.offloads;
+        if (served)
+            emit(Event::Offload);
         return served;
     }
     const uint32_t region_start = body.front().pc;
@@ -1120,7 +1116,7 @@ MesaController::offloadLoop(const std::vector<Instruction> &body,
         !quarantine_.shouldOffload(region_start)) {
         // Serving a backoff sentence: the region executes on the CPU.
         os.fallback = FallbackReason::Quarantined;
-        bumpFallback(os.fallback);
+        emit(fallbackEvent(os.fallback));
         updateFaultGauges();
         state.pc = region_start;
         cpuReexecute(state, os);
@@ -1139,8 +1135,7 @@ MesaController::offloadLoop(const std::vector<Instruction> &body,
     const uint64_t t1 = tracePreparePhases(prep, os, t0);
     if (Tracer::active())
         tracer.setBase(tracer.base() + (t1 - t0));
-    if (stats_)
-        ++*live_.offloads;
+    emit(Event::Offload);
 
     const auto prof_mark = profileMark();
     runGuarded(prep, state, max_iterations, os, body, parallel_hint);
@@ -1198,8 +1193,7 @@ MesaController::runTransparent(const riscv::Program &program,
         if (!decision)
             continue;
         if (!decision->qualified) {
-            if (stats_)
-                ++*live_.rejections;
+            emit(Event::Rejection);
             result.rejections.push_back(*decision);
             monitor.rearm();
             continue;
@@ -1214,7 +1208,7 @@ MesaController::runTransparent(const riscv::Program &program,
             !quarantine_.shouldOffload(loop.start)) {
             // Region serving a backoff sentence: skip the offload and
             // let the CPU keep executing the loop naturally.
-            bumpFallback(FallbackReason::Quarantined);
+            emit(Event::FallbackQuarantined);
             updateFaultGauges();
             monitor.rearm();
             continue;
@@ -1237,8 +1231,7 @@ MesaController::runTransparent(const riscv::Program &program,
             }
             auto served = arbiter_->serve(req);
             if (served) {
-                if (stats_)
-                    ++*live_.offloads;
+                emit(Event::Offload);
                 result.offloads.push_back(*served);
             } else {
                 monitor.blacklist(loop.start);
@@ -1316,8 +1309,7 @@ MesaController::runTransparent(const riscv::Program &program,
                              {"config_cycles",
                               os.totalConfigCycles()}});
         }
-        if (stats_)
-            ++*live_.offloads;
+        emit(Event::Offload);
         const auto prof_mark = profileMark();
         runGuarded(prep, emu.state(), ~uint64_t(0), os, body,
                    parallel_hint);

@@ -15,9 +15,11 @@
 
 #include <array>
 #include <functional>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -34,6 +36,7 @@
 #include "mesa/translate.hh"
 #include "util/stats.hh"
 #include "util/stats_registry.hh"
+#include "util/trace.hh"
 
 namespace mesa::core
 {
@@ -131,14 +134,10 @@ enum class FallbackReason
     Quarantined,    ///< Region serving an exponential-backoff sentence.
 };
 
-constexpr int FallbackReasonCount = 6;
-
-const char *fallbackReasonName(FallbackReason reason);
-
 /**
  * Outcome of one persistent translation-store probe or store (see
- * mesa/translation_store.hh). The controller folds these into the
- * "mesa.cache.persist_*" counters when a store is enabled.
+ * mesa/translation_store.hh). The controller counts each under its
+ * "mesa.cache.persist_*" event when a store is enabled.
  */
 enum class PersistOutcome
 {
@@ -151,6 +150,33 @@ enum class PersistOutcome
     Stored,        ///< Entry written to disk.
     StoreFailed,   ///< Write failed (permissions, disk full).
 };
+
+/**
+ * When a controller event's counter exists: attachStats() registers a
+ * catalog counter only while its gate is open, so a run without a
+ * feature carries none of that feature's counters.
+ */
+enum class StatGate : uint8_t
+{
+    Always,       ///< Every attached registry.
+    Verify,       ///< verify_before_offload.
+    Store,        ///< A persistent translation store is enabled.
+    Fault,        ///< fault.enabled.
+    FaultMigrate, ///< fault.enabled and fault.migrate_on_fault.
+    FaultCertify, ///< fault.enabled and fault.certificate_gating.
+};
+
+/** One row of the controller's event catalog. */
+struct EventInfo
+{
+    const char *stat = nullptr;    ///< Counter path; null: trace only.
+    StatGate gate = StatGate::Always;
+    const char *track = nullptr;   ///< Trace track; null: counter only.
+    const char *instant = nullptr; ///< Instant name on that track.
+};
+
+/** The controller's events; defined with the catalog in controller.cc. */
+enum class ControllerEvent : uint8_t;
 
 /**
  * A fully translated region: the translation (T1 encode, T2 map, the
@@ -290,13 +316,10 @@ struct TransparentRunResult
         return n;
     }
 
-    /** Flatten the run into a dumpable gem5-style stat group. */
-    StatGroup toStats(const std::string &name = "mesa") const;
-
     /**
      * Register every run statistic into a stats registry under
      * @p prefix (e.g. "run."): the single flattening walk that
-     * toStats, --stats-json, and tests all share.
+     * --stats-json and tests share.
      */
     void registerInto(StatsRegistry &registry,
                       const std::string &prefix = "") const;
@@ -386,11 +409,12 @@ class MesaController
     }
 
     /**
-     * Attach a stats registry: the controller registers its live
-     * counters (phase cycles, cache hits, epochs, reconfigs,
-     * optimizer outcomes) under "mesa.*"/"accel.*" and keeps them
-     * current while running. Optional; pass nullptr to detach. The
-     * registry must outlive the controller's runs.
+     * Attach a stats registry: the controller registers the counter
+     * of every event in eventCatalog() whose gate is open, plus the
+     * config-cache counters, the epoch histogram/average and (fault
+     * mode) the quarantine gauges, and keeps them current while
+     * running. Optional; pass nullptr to detach. The registry must
+     * outlive the controller's runs.
      *
      * @param snapshot_iterations record a registry snapshot every
      *        N accelerated iterations (0 disables; epochs still
@@ -398,6 +422,13 @@ class MesaController
      */
     void attachStats(StatsRegistry *registry,
                      uint64_t snapshot_iterations = 0);
+
+    /**
+     * Every event the controller counts or traces as an instant, one
+     * row each: the only place a controller counter path or a
+     * mesa.fault / mesa.absint instant name is spelled.
+     */
+    static std::span<const EventInfo> eventCatalog();
 
     /**
      * Attach a cycle-attribution profile (prof/): forwards to the
@@ -512,8 +543,16 @@ class MesaController
      *  (mesa.fault.quarantined_regions, mesa.fault.retired_pes). */
     void updateFaultGauges();
 
-    /** Bump the mesa.fallback.* counter for a reason. */
-    void bumpFallback(FallbackReason reason);
+    /**
+     * Count and trace one catalog event: add @p n to its counter when
+     * its gate registered one, and record its instant, with @p args,
+     * when tracing is active.
+     */
+    void emit(ControllerEvent event, uint64_t n = 1,
+              std::initializer_list<TraceArg> args = {});
+
+    /** Is @p gate open for this controller's parameters? */
+    bool gateOpen(StatGate gate) const;
 
     /**
      * Emit the controller-phase timeline spans (encode, per-
@@ -523,61 +562,6 @@ class MesaController
      */
     uint64_t tracePreparePhases(const Prepared &prep,
                                 const OffloadStats &os, uint64_t t0);
-
-    /** Live stats registered into the attached registry. */
-    struct LiveStats
-    {
-        Counter *offloads = nullptr;
-        Counter *rejections = nullptr;
-        Counter *encode_cycles = nullptr;
-        Counter *mapping_cycles = nullptr;
-        Counter *config_cycles = nullptr;
-        Counter *imap_instructions = nullptr;
-        Counter *reconfig_count = nullptr;
-        Counter *reconfig_cycles = nullptr;
-        Counter *optimizer_attempts = nullptr;
-        Counter *optimizer_remaps = nullptr;
-        Counter *epochs = nullptr;
-        Counter *accel_cycles = nullptr;
-        Counter *accel_iterations = nullptr;
-        Histogram *epoch_cycles = nullptr;
-        Average *epoch_cycles_per_iter = nullptr;
-        Counter *verify_checked = nullptr;
-        Counter *verify_violations = nullptr;
-        Counter *verify_fallbacks = nullptr;
-        /** One fallback counter per FallbackReason (index 0 unused). */
-        Counter *fallbacks[FallbackReasonCount] = {};
-        Counter *fault_crc_failures = nullptr;
-        Counter *fault_watchdog_trips = nullptr;
-        Counter *fault_checked_runs = nullptr;
-        Counter *fault_mismatches = nullptr;
-        Counter *fault_rollbacks = nullptr;
-        Counter *fault_cpu_reexec = nullptr;
-        Counter *fault_self_tests = nullptr;
-        Counter *fault_quarantined_pes = nullptr;
-        /** Drain-and-relocate path (fault.migrate_on_fault). */
-        Counter *migrate_relocations = nullptr;
-        Counter *migrate_relocation_success = nullptr;
-        Counter *migrate_translate_cycles = nullptr;
-        Counter *migrate_stream_cycles = nullptr;
-        Counter *absint_certified = nullptr;
-        Counter *absint_snapshot_skips = nullptr;
-        Counter *absint_budget_tightened = nullptr;
-        Counter *absint_trip_watchdogs = nullptr;
-        /** Persistent translation store (registered only when a cache
-         *  directory is configured, so stats output without one is
-         *  byte-identical to a build without the store). */
-        Counter *persist_hits = nullptr;
-        Counter *persist_misses = nullptr;
-        Counter *persist_corrupt = nullptr;
-        Counter *persist_version_skew = nullptr;
-        Counter *persist_key_mismatch = nullptr;
-        Counter *persist_stores = nullptr;
-        Counter *persist_store_failures = nullptr;
-    };
-
-    /** Fold a translation-store outcome into the persist counters. */
-    void bumpPersist(PersistOutcome outcome);
 
     /** Per-rule verify counters, created on first finding. */
     Counter &verifyRuleCounter(const std::string &rule);
@@ -591,7 +575,10 @@ class MesaController
 
     StatsRegistry *stats_ = nullptr;
     prof::AccelProfile *profile_ = nullptr;
-    LiveStats live_;
+    /** One counter per catalog row; null while its gate is closed. */
+    std::vector<Counter *> counters_;
+    Histogram *epoch_cycles_ = nullptr;
+    Average *epoch_cycles_per_iter_ = nullptr;
     std::map<std::string, Counter *> verify_rule_counters_;
     uint64_t snapshot_iterations_ = 0;
     uint64_t snapshot_accum_ = 0; ///< Iterations since last snapshot.

@@ -61,7 +61,7 @@ aluEval(Op op, uint32_t a, uint32_t b, int32_t imm, uint32_t pc)
       case Op::Or: return a | b;
       case Op::And: return a & b;
 
-      case Op::Mul: return uint32_t(sa * sb);
+      case Op::Mul: return a * b; // Wraps mod 2^32, like the hardware.
       case Op::Mulh:
         return uint32_t((int64_t(sa) * int64_t(sb)) >> 32);
       case Op::Mulhsu:

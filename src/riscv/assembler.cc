@@ -259,9 +259,10 @@ Assembler::li(uint8_t rd, int32_t value)
         return;
     }
     // lui loads the upper 20 bits; addi sign-extends, so round up the
-    // upper part when the low 12 bits have the sign bit set.
-    int32_t hi = (value + 0x800) >> 12;
-    int32_t lo = value - (hi << 12);
+    // upper part when the low 12 bits have the sign bit set. The sums
+    // wrap mod 2^32 (value + 0x800 can pass INT32_MAX).
+    const int32_t hi = int32_t(uint32_t(value) + 0x800) >> 12;
+    const int32_t lo = int32_t(uint32_t(value) - (uint32_t(hi) << 12));
     lui(rd, hi);
     if (lo != 0)
         addi(rd, rd, lo);

@@ -1,8 +1,8 @@
 /**
  * @file
- * Lightweight statistics package: named scalar counters, averages, and
- * histograms grouped under a StatGroup, in the spirit of gem5's stats
- * framework but sized for this simulator.
+ * Lightweight statistics package: counters, averages, and histograms in
+ * the spirit of gem5's stats framework but sized for this simulator.
+ * StatsRegistry (util/stats_registry.hh) names and renders them.
  */
 
 #ifndef MESA_UTIL_STATS_HH
@@ -11,8 +11,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <map>
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -176,51 +174,6 @@ class Histogram
     double sum_ = 0.0;
     double min_ = 0.0;
     double max_ = 0.0;
-};
-
-/**
- * A named collection of scalar statistics that can be dumped in one
- * shot. Components register values keyed by dotted names.
- */
-class StatGroup
-{
-  public:
-    explicit StatGroup(std::string name) : name_(std::move(name)) {}
-
-    void set(const std::string &key, double v) { values_[key] = v; }
-
-    /** Add to a key, treating a missing key as an explicit 0.0. */
-    void
-    add(const std::string &key, double v)
-    {
-        auto [it, inserted] = values_.try_emplace(key, 0.0);
-        it->second += v;
-    }
-
-    /**
-     * Fold another group into this one, adding values key-by-key
-     * (missing keys start at 0.0). Lets multi-offload runs accumulate
-     * per-offload groups without manual loops.
-     */
-    void merge(const StatGroup &other);
-
-    double
-    get(const std::string &key) const
-    {
-        auto it = values_.find(key);
-        return it == values_.end() ? 0.0 : it->second;
-    }
-
-    bool has(const std::string &key) const { return values_.count(key) > 0; }
-    const std::map<std::string, double> &values() const { return values_; }
-    const std::string &name() const { return name_; }
-
-    /** Dump all stats as "group.key value" lines. */
-    void dump(std::ostream &os) const;
-
-  private:
-    std::string name_;
-    std::map<std::string, double> values_;
 };
 
 } // namespace mesa

@@ -3,15 +3,21 @@
  * MESA controller end-to-end tests: the transparent flow of paper
  * §5.1 (monitor -> encode -> map -> configure -> offload -> resume),
  * configuration-cost accounting (Table 2 range), config-cache reuse,
- * iterative optimization, and functional equivalence of the whole
- * transparent run against the pure emulator.
+ * iterative optimization, functional equivalence of the whole
+ * transparent run against the pure emulator, and the controller's
+ * event catalog.
  */
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <filesystem>
+#include <set>
 #include <sstream>
 
 #include "helpers.hh"
+#include "mesa/translation_store.hh"
 
 namespace
 {
@@ -209,12 +215,13 @@ TEST(Controller, StatsDumpCoversTheRun)
         transparent(kernel, params, memory);
     ASSERT_FALSE(res.offloads.empty());
 
-    const auto stats = res.toStats("run");
-    EXPECT_DOUBLE_EQ(stats.get("total_cycles"),
+    StatsRegistry stats;
+    res.registerInto(stats, "run.");
+    EXPECT_DOUBLE_EQ(stats.value("run.total_cycles"),
                      double(res.total_cycles));
-    EXPECT_DOUBLE_EQ(stats.get("offloads"), 1.0);
-    EXPECT_GT(stats.get("offload0.iterations"), 1000.0);
-    EXPECT_GT(stats.get("offload0.config_cycles"), 0.0);
+    EXPECT_DOUBLE_EQ(stats.value("run.offloads"), 1.0);
+    EXPECT_GT(stats.value("run.offload0.iterations"), 1000.0);
+    EXPECT_GT(stats.value("run.offload0.config_cycles"), 0.0);
     std::ostringstream os;
     stats.dump(os);
     EXPECT_NE(os.str().find("run.offload0.tiles"), std::string::npos);
@@ -231,6 +238,116 @@ TEST(Controller, TotalCyclesComposeCpuAndAccel)
     EXPECT_EQ(res.total_cycles, res.cpu_cycles + res.accel_cycles);
     EXPECT_GT(res.cpu_cycles, 0u);
     EXPECT_GT(res.accel_cycles, 0u);
+}
+
+// ---------------------------------------------------------------------
+// The event catalog: every controller counter and fault/absint instant
+// is one row, and attachStats registers exactly the open gates' rows.
+
+/**
+ * Every path a fresh registry holds after one transparent nn run,
+ * minus the families attachStats creates outside the catalog: the
+ * config-cache counters and the per-rule verify counters.
+ */
+std::set<std::string>
+registeredPaths(const MesaParams &params)
+{
+    const Kernel kernel = kernelByName("nn", {256});
+    mem::MainMemory memory;
+    kernel.init_data(memory);
+    MesaController mesa(params, memory);
+    StatsRegistry stats;
+    mesa.attachStats(&stats);
+    mesa.runTransparent(kernel.program, kernel.fullRange(),
+                        kernel.parallel);
+    std::set<std::string> paths;
+    for (const auto &[path, value] : stats.flatValues())
+        if (!path.starts_with("mesa.config_cache.") &&
+            !path.starts_with("mesa.verify.rule."))
+            paths.insert(path);
+    return paths;
+}
+
+/** The catalog's counter paths (all, or only the Always gate's) plus
+ *  the epoch histogram and average, which every registry carries. */
+std::set<std::string>
+expectedPaths(bool every_gate)
+{
+    std::set<std::string> paths = {"mesa.epoch.cycles",
+                                   "mesa.epoch.cycles_per_iter"};
+    for (const core::EventInfo &e : MesaController::eventCatalog())
+        if (e.stat && (every_gate || e.gate == core::StatGate::Always))
+            paths.insert(e.stat);
+    return paths;
+}
+
+TEST(EventCatalog, RowsAreUnique)
+{
+    std::set<std::string> stats;
+    std::set<std::pair<std::string, std::string>> instants;
+    for (const core::EventInfo &e : MesaController::eventCatalog()) {
+        EXPECT_TRUE(e.stat || e.instant) << "row with neither half";
+        if (e.stat) {
+            EXPECT_TRUE(stats.insert(e.stat).second)
+                << "duplicate stat path " << e.stat;
+        }
+        if (e.instant) {
+            ASSERT_NE(e.track, nullptr) << e.instant;
+            EXPECT_TRUE(instants.emplace(e.track, e.instant).second)
+                << "duplicate instant " << e.track << " " << e.instant;
+        }
+    }
+}
+
+TEST(EventCatalog, GateMatchesStatFamily)
+{
+    // A gated counter lives under its feature's family, an Always one
+    // under none of them.
+    using core::StatGate;
+    const std::pair<StatGate, std::string> families[] = {
+        {StatGate::Verify, "mesa.verify."},
+        {StatGate::Store, "mesa.cache.persist_"},
+        {StatGate::Fault, "mesa.fault."},
+        {StatGate::FaultMigrate, "mesa.migrate."},
+        {StatGate::FaultCertify, "mesa.absint."},
+    };
+    for (const core::EventInfo &e : MesaController::eventCatalog()) {
+        if (!e.stat)
+            continue;
+        for (const auto &[gate, family] : families)
+            EXPECT_EQ(std::string(e.stat).starts_with(family),
+                      e.gate == gate)
+                << e.stat;
+    }
+}
+
+TEST(EventCatalog, EveryGateOpenRegistersEveryRow)
+{
+    namespace fs = std::filesystem;
+    const fs::path dir = fs::temp_directory_path() /
+                         ("mesa_catalog_" + std::to_string(::getpid()));
+    fs::remove_all(dir);
+    core::TranslationStore::global().setDirectory(dir.string());
+    MesaParams params;
+    params.verify_before_offload = true;
+    params.fault.enabled = true;
+    params.fault.checked_mode = true;
+    params.fault.migrate_on_fault = true;
+    params.fault.certificate_gating = true;
+    const std::set<std::string> paths = registeredPaths(params);
+    core::TranslationStore::global().setDirectory("");
+    fs::remove_all(dir);
+
+    std::set<std::string> want = expectedPaths(true);
+    // Fault mode adds the two live quarantine gauges.
+    want.insert("mesa.fault.quarantined_regions");
+    want.insert("mesa.fault.retired_pes");
+    EXPECT_EQ(paths, want);
+}
+
+TEST(EventCatalog, EveryGateClosedRegistersOnlyAlwaysRows)
+{
+    EXPECT_EQ(registeredPaths(MesaParams{}), expectedPaths(false));
 }
 
 } // namespace

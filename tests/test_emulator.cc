@@ -9,6 +9,7 @@
 #include <bit>
 
 #include "cpu/system.hh"
+#include "riscv/alu.hh"
 #include "riscv/assembler.hh"
 #include "riscv/emulator.hh"
 
@@ -54,6 +55,32 @@ TEST(Emulator, BasicArithmetic)
     EXPECT_EQ(h.emu.x(a2), 42u);
     EXPECT_EQ(int32_t(h.emu.x(a3)), -2);
     EXPECT_EQ(h.emu.x(a4), 440u);
+}
+
+TEST(Emulator, MulWrapsModulo32Bits)
+{
+    // mul keeps the low 32 bits of the product, even when the signed
+    // product overflows int32_t.
+    struct Row
+    {
+        uint32_t a, b, want;
+    };
+    const Row rows[] = {
+        {0x7fffffffu, 3u, 0x7ffffffdu},
+        {0x80000000u, uint32_t(-1), 0x80000000u}, // INT_MIN * -1
+    };
+    for (const Row &r : rows) {
+        EXPECT_EQ(aluEval(Op::Mul, r.a, r.b, 0, 0), r.want);
+
+        Assembler as;
+        as.li(a0, int32_t(r.a));
+        as.li(a1, int32_t(r.b));
+        as.mul(a2, a0, a1);
+        as.ecall();
+        Harness h;
+        h.run(as);
+        EXPECT_EQ(h.emu.x(a2), r.want);
+    }
 }
 
 TEST(Emulator, LiLargeConstants)

@@ -134,6 +134,72 @@ TEST(Watchdog, FaultModeRollsBackAndReexecutesOnCpu)
 }
 
 // ---------------------------------------------------------------------
+// Certificate gating: the mesa.absint.* counters agree with the
+// per-offload fields they summarise.
+
+TEST(CertificateGating, CountersMatchOffloadFields)
+{
+    struct Case
+    {
+        const char *kernel;
+        bool hang; ///< Stick the loop's closing branch.
+    };
+    const Case cases[] = {
+        {"nn", false},   {"hotspot", false}, {"pathfinder", false},
+        {"srad", false}, {"nn", true},       {"hotspot", true},
+    };
+
+    uint64_t certified = 0, skips = 0, tightened = 0, trips = 0;
+    for (const Case &c : cases) {
+        SCOPED_TRACE(std::string(c.kernel) + (c.hang ? " hang" : ""));
+        const Kernel kernel = kernelByName(c.kernel, {256});
+        core::MesaParams params;
+        params.fault.enabled = true;
+        params.fault.checked_mode = true;
+        params.fault.certificate_gating = true;
+        // Between the proofs' budgets, so the proof wins for some
+        // kernels and the configured budget for others.
+        params.fault.watchdog_cycles = 3'200'000;
+
+        StatsRegistry stats;
+        auto run = park(kernel, params, &stats);
+        if (c.hang) {
+            accel::FaultPlane plane;
+            plane.stuck_branches.push_back({0});
+            run.mesa->accelerator().injectFaults(plane);
+        }
+        auto os = run.mesa->offloadLoop(
+            kernel.loopBody(), run.emu->state(), kernel.parallel);
+        ASSERT_TRUE(os.has_value());
+
+        // The proof's budget wins unless the configured one is
+        // strictly smaller.
+        const bool won = os->cert_watchdog_budget > 0 &&
+                         os->cert_watchdog_budget <=
+                             params.fault.watchdog_cycles;
+        EXPECT_EQ(stats.value("mesa.absint.certified"),
+                  os->certified ? 1.0 : 0.0);
+        EXPECT_EQ(stats.value("mesa.absint.snapshot_skips"),
+                  os->snapshot_skipped ? 1.0 : 0.0);
+        EXPECT_EQ(stats.value("mesa.absint.budget_tightened"),
+                  won ? 1.0 : 0.0);
+        EXPECT_EQ(stats.value("mesa.absint.trip_watchdogs"),
+                  os->trip_watchdog ? 1.0 : 0.0);
+        certified += os->certified;
+        skips += os->snapshot_skipped;
+        tightened += won;
+        trips += os->trip_watchdog;
+    }
+    // Every counter is exercised by at least one case, and the budget
+    // comparison goes both ways.
+    EXPECT_GT(certified, 0u);
+    EXPECT_GT(skips, 0u);
+    EXPECT_GT(tightened, 0u);
+    EXPECT_LT(tightened, std::size(cases));
+    EXPECT_GT(trips, 0u);
+}
+
+// ---------------------------------------------------------------------
 // Satellite 4: checkpoint capture / corrupt / restore byte-exactness.
 
 TEST(Checkpoint, RestoreUndoesRegisterAndMemoryCorruption)

@@ -393,38 +393,6 @@ TEST(Stats, HistogramRejectsBadGeometry)
     EXPECT_DOUBLE_EQ(Histogram(4, 2.5).bucketWidth(), 2.5);
 }
 
-TEST(Stats, StatGroupMerge)
-{
-    StatGroup a("run");
-    a.set("cycles", 100);
-    a.set("loads", 5);
-    StatGroup b("epoch");
-    b.set("cycles", 50);
-    b.set("stores", 3);
-    a.merge(b);
-    EXPECT_DOUBLE_EQ(a.get("cycles"), 150.0);
-    EXPECT_DOUBLE_EQ(a.get("loads"), 5.0);
-    EXPECT_DOUBLE_EQ(a.get("stores"), 3.0); // missing key starts at 0
-    EXPECT_EQ(a.name(), "run");             // name is unaffected
-}
-
-TEST(Stats, StatGroupDump)
-{
-    StatGroup g("core0");
-    g.set("ipc", 2.5);
-    g.add("ipc", 0.5);
-    g.set("cycles", 100);
-    EXPECT_DOUBLE_EQ(g.get("ipc"), 3.0);
-    EXPECT_TRUE(g.has("cycles"));
-    EXPECT_FALSE(g.has("nope"));
-    EXPECT_DOUBLE_EQ(g.get("nope"), 0.0);
-
-    std::ostringstream os;
-    g.dump(os);
-    EXPECT_NE(os.str().find("core0.ipc 3"), std::string::npos);
-    EXPECT_NE(os.str().find("core0.cycles 100"), std::string::npos);
-}
-
 // ---------------------------------------------------------------------
 // Matrix.
 // ---------------------------------------------------------------------
