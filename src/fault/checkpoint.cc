@@ -1,7 +1,5 @@
 #include "fault/checkpoint.hh"
 
-#include <algorithm>
-
 namespace mesa::fault
 {
 
@@ -26,32 +24,20 @@ Checkpoint::restore(riscv::ArchState &out_state,
                           data.data(), data.size());
 }
 
-namespace
-{
-
-bool
-allZero(const std::vector<uint8_t> &data)
-{
-    return std::all_of(data.begin(), data.end(),
-                       [](uint8_t b) { return b == 0; });
-}
-
-} // namespace
-
 bool
 memorySnapshotsEqual(const MemSnapshot &a, const MemSnapshot &b)
 {
     for (const auto &[pn, data] : a) {
         auto it = b.find(pn);
         if (it == b.end()) {
-            if (!allZero(data))
+            if (!mem::isZeroPage(data))
                 return false;
         } else if (data != it->second) {
             return false;
         }
     }
     for (const auto &[pn, data] : b) {
-        if (!a.count(pn) && !allZero(data))
+        if (!a.count(pn) && !mem::isZeroPage(data))
             return false;
     }
     return true;

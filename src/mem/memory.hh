@@ -10,6 +10,10 @@
  * compare instead of re-reading the bytes. clear() bumps a separate
  * epoch counter, which is the signal that any cached page pointer is
  * dead (pages are otherwise never deallocated).
+ *
+ * The write path remembers the last page it resolved, so a run of
+ * writes to one page costs one hash lookup. Const reads never touch
+ * that memo: concurrent readers of one memory stay race-free.
  */
 
 #ifndef MESA_MEM_MEMORY_HH
@@ -21,6 +25,7 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -34,6 +39,32 @@ class MainMemory
   public:
     static constexpr uint32_t PageShift = 12;
     static constexpr uint32_t PageSize = 1u << PageShift;
+
+    MainMemory() = default;
+
+    /** Take @p o's pages; @p o is left empty, as after clear(). */
+    MainMemory(MainMemory &&o) noexcept
+        : pages_(std::move(o.pages_)), epoch_(o.epoch_)
+    {
+        o.clear();
+    }
+
+    /**
+     * Take @p o's pages. Both memories drop their write memo (it would
+     * name a page the other object now owns) and move their epoch,
+     * since every page either held before is gone from it.
+     */
+    MainMemory &
+    operator=(MainMemory &&o) noexcept
+    {
+        if (this != &o) {
+            pages_ = std::move(o.pages_);
+            memo_ = nullptr;
+            epoch_ = std::max(epoch_, o.epoch_) + 1;
+            o.clear();
+        }
+        return *this;
+    }
 
     uint8_t
     read8(uint32_t addr) const
@@ -103,13 +134,25 @@ class MainMemory
         write32(addr, std::bit_cast<uint32_t>(v));
     }
 
-    /** Copy a block of bytes into memory (program/data loading). */
+    /**
+     * Copy a block of bytes into memory (program/data loading), one
+     * page-sized chunk at a time: one page lookup and one generation
+     * bump per page touched. Addresses wrap at 2^32 like write8's.
+     */
     void
     writeBlock(uint32_t addr, const void *src, size_t len)
     {
         const auto *bytes = static_cast<const uint8_t *>(src);
-        for (size_t i = 0; i < len; ++i)
-            write8(addr + uint32_t(i), bytes[i]);
+        while (len > 0) {
+            const uint32_t off = addr & (PageSize - 1);
+            const size_t n = std::min<size_t>(len, PageSize - off);
+            Page &p = page(addr);
+            ++p.gen;
+            std::memcpy(p.bytes.data() + off, bytes, n);
+            addr += uint32_t(n);
+            bytes += n;
+            len -= n;
+        }
     }
 
     /** Number of resident (touched) pages. */
@@ -136,11 +179,24 @@ class MainMemory
                 (uint64_t(max_pn) + 1) << PageShift};
     }
 
+    /**
+     * Visit every resident page in place as (page number, its PageSize
+     * bytes), in unspecified order.
+     */
+    template <typename Fn>
+    void
+    forEachPage(Fn &&fn) const
+    {
+        for (const auto &[pn, pg] : pages_)
+            fn(pn, std::span<const uint8_t, PageSize>(pg->bytes));
+    }
+
     /** Drop all contents. Invalidates every cached page pointer. */
     void
     clear()
     {
         pages_.clear();
+        memo_ = nullptr;
         ++epoch_;
     }
 
@@ -152,10 +208,13 @@ class MainMemory
 
     /**
      * Stable pointer to the write-generation counter of the page
-     * holding @p addr, or nullptr when the page is not resident. The
-     * pointer stays valid until clear() (pages are never individually
-     * freed and unordered_map nodes do not move on rehash); revalidate
-     * against epoch() before dereferencing across calls to clear().
+     * holding @p addr, or nullptr when the page is not resident. Every
+     * write moves the counter of each page it touches (a writeBlock
+     * bumps it once per page, not once per byte), so an unchanged
+     * value means unchanged bytes. The pointer stays valid until
+     * clear() (pages are never individually freed and unordered_map
+     * nodes do not move on rehash); revalidate against epoch() before
+     * dereferencing across calls to clear().
      */
     const uint64_t *
     pageGenPtr(uint32_t addr) const
@@ -182,20 +241,27 @@ class MainMemory
     struct Page
     {
         std::array<uint8_t, PageSize> bytes;
-        uint64_t gen = 0; ///< Bumped on every write to the page.
+        /// Moves on every write to the page; a writeBlock bumps it
+        /// once per page it touches.
+        uint64_t gen = 0;
     };
 
+    /** Resolve (allocating on first touch) the page for a write. */
     Page &
     page(uint32_t addr)
     {
         const uint32_t pn = addr >> PageShift;
+        if (memo_ && memo_pn_ == pn)
+            return *memo_;
         auto it = pages_.find(pn);
         if (it == pages_.end()) {
             auto p = std::make_unique<Page>();
             p->bytes.fill(0);
             it = pages_.emplace(pn, std::move(p)).first;
         }
-        return *it->second;
+        memo_pn_ = pn;
+        memo_ = it->second.get();
+        return *memo_;
     }
 
     const Page *
@@ -207,7 +273,29 @@ class MainMemory
 
     std::unordered_map<uint32_t, std::unique_ptr<Page>> pages_;
     uint64_t epoch_ = 0;
+    /// Write memo: the page page() returned last (nullptr = none).
+    /// Reset by clear() and by both sides of a move.
+    Page *memo_ = nullptr;
+    uint32_t memo_pn_ = 0;
 };
+
+/** True when every byte of @p bytes is zero; tests a word at a time. */
+inline bool
+isZeroPage(std::span<const uint8_t> bytes)
+{
+    const uint8_t *p = bytes.data();
+    size_t n = bytes.size();
+    for (; n >= 8; p += 8, n -= 8) {
+        uint64_t w;
+        std::memcpy(&w, p, 8);
+        if (w != 0)
+            return false;
+    }
+    for (; n > 0; ++p, --n)
+        if (*p != 0)
+            return false;
+    return true;
+}
 
 } // namespace mesa::mem
 

@@ -1,6 +1,9 @@
 #include "service/backend.hh"
 
 #include <algorithm>
+#include <span>
+#include <utility>
+#include <vector>
 
 #include "cpu/system.hh"
 #include "sched/partition.hh"
@@ -29,25 +32,24 @@ archStateDigest(const riscv::ArchState &state)
 }
 
 /** CRC of the memory image, page-sorted and zero-page-normalized so
- *  the digest depends only on content, not on touch order. */
+ *  the digest depends only on content, not on touch order. Reads the
+ *  resident pages in place. */
 uint64_t
 memoryDigest(const mem::MainMemory &memory)
 {
-    auto snap = memory.snapshot();
-    std::vector<uint32_t> pages;
-    pages.reserve(snap.size());
-    for (const auto &kv : snap) {
-        const auto &bytes = kv.second;
-        const bool zero = std::all_of(bytes.begin(), bytes.end(),
-                                      [](uint8_t b) { return b == 0; });
-        if (!zero)
-            pages.push_back(kv.first);
-    }
-    std::sort(pages.begin(), pages.end());
+    using Page = std::span<const uint8_t, mem::MainMemory::PageSize>;
+    std::vector<std::pair<uint32_t, Page>> pages;
+    pages.reserve(memory.residentPages());
+    memory.forEachPage([&](uint32_t pn, Page bytes) {
+        if (!mem::isZeroPage(bytes))
+            pages.emplace_back(pn, bytes);
+    });
+    std::sort(pages.begin(), pages.end(),
+              [](const auto &a, const auto &b) { return a.first < b.first; });
     Crc32 crc;
-    for (uint32_t page : pages) {
-        crc.add32(page);
-        crc.addBytes(snap[page].data(), snap[page].size());
+    for (const auto &[pn, bytes] : pages) {
+        crc.add32(pn);
+        crc.addBytes(bytes.data(), bytes.size());
     }
     return crc.value();
 }

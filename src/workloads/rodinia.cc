@@ -10,6 +10,7 @@
 #include "workloads/kernel.hh"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 
 #include "riscv/isa.hh"
@@ -365,9 +366,16 @@ makeBfs(uint64_t n)
         uint32_t s = 9;
         for (uint64_t i = 0; i < n; ++i)
             m.write32(ArrA + uint32_t(4 * i), lcg(s) % NumNodes);
-        // visited[]: sparse pre-marked nodes.
-        for (uint32_t i = 0; i < NumNodes; ++i)
-            m.write32(ArrB + 4 * i, (i % 7 == 0) ? 1 : 0);
+        // visited[]: sparse pre-marked nodes, one page-sized block at
+        // a time (a whole-array buffer would raise peak RSS).
+        constexpr uint32_t PageWords = mem::MainMemory::PageSize / 4;
+        static_assert(NumNodes % PageWords == 0);
+        std::array<uint32_t, PageWords> page;
+        for (uint32_t base = 0; base < NumNodes; base += PageWords) {
+            for (uint32_t j = 0; j < PageWords; ++j)
+                page[j] = ((base + j) % 7 == 0) ? 1 : 0;
+            m.writeBlock(ArrB + 4 * base, page.data(), sizeof(page));
+        }
     };
     k.init_range = [Levels](riscv::ArchState &st, uint64_t b,
                             uint64_t e) {

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "cpu/system.hh"
+#include "mem/memory.hh"
 #include "mesa/controller.hh"
 #include "riscv/emulator.hh"
 #include "workloads/kernel.hh"
@@ -111,10 +112,7 @@ sameMemory(const std::unordered_map<uint32_t, std::vector<uint8_t>> &a,
         auto it = b.find(page);
         if (it == b.end()) {
             // A page of all zeroes matches an absent page.
-            bool all_zero = true;
-            for (uint8_t byte : data)
-                all_zero = all_zero && byte == 0;
-            if (all_zero)
+            if (mem::isZeroPage(data))
                 continue;
             return ::testing::AssertionFailure()
                    << "page 0x" << std::hex << (page << 12)
@@ -130,12 +128,7 @@ sameMemory(const std::unordered_map<uint32_t, std::vector<uint8_t>> &a,
         }
     }
     for (const auto &[page, data] : b) {
-        if (a.count(page))
-            continue;
-        bool all_zero = true;
-        for (uint8_t byte : data)
-            all_zero = all_zero && byte == 0;
-        if (!all_zero) {
+        if (!a.count(page) && !mem::isZeroPage(data)) {
             return ::testing::AssertionFailure()
                    << "page 0x" << std::hex << (page << 12)
                    << " present only on right side";

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <utility>
+#include <vector>
 
 #include "mem/cache.hh"
 #include "mem/lsq.hh"
@@ -62,6 +63,152 @@ TEST(MainMemory, FloatAccessAndSnapshot)
     float old;
     std::memcpy(&old, page.data(), 4);
     EXPECT_FLOAT_EQ(old, 3.25f);
+}
+
+TEST(MainMemory, WriteBlockMatchesByteWrites)
+{
+    std::vector<uint8_t> data(3 * MainMemory::PageSize + 123);
+    for (size_t i = 0; i < data.size(); ++i)
+        data[i] = uint8_t(i * 37 + 11);
+    const uint32_t base = 0x4000 - 77; // starts mid-page, crosses 4 edges
+    MainMemory block, bytes;
+    block.writeBlock(base, data.data(), data.size());
+    for (size_t i = 0; i < data.size(); ++i)
+        bytes.write8(base + uint32_t(i), data[i]);
+    EXPECT_EQ(block.snapshot(), bytes.snapshot());
+    EXPECT_EQ(block.residentPages(), 5u);
+
+    // A zero-length block touches nothing.
+    block.writeBlock(0x900000, data.data(), 0);
+    EXPECT_EQ(block.residentPages(), 5u);
+}
+
+TEST(MainMemory, EveryWriteMovesTheGenerationOfEachPageItTouches)
+{
+    MainMemory m;
+    m.write8(0x1000, 1);
+    m.write8(0x2000, 1);
+    m.write8(0x3000, 1);
+    const uint64_t *g1 = m.pageGenPtr(0x1000);
+    const uint64_t *g2 = m.pageGenPtr(0x2000);
+    const uint64_t *g3 = m.pageGenPtr(0x3000);
+    ASSERT_TRUE(g1 && g2 && g3);
+
+    // Alternate pages so the write memo both hits and misses.
+    uint64_t before = *g1;
+    m.write8(0x1004, 2);
+    EXPECT_GT(*g1, before);
+    before = *g2;
+    m.write16(0x2006, 2);
+    EXPECT_GT(*g2, before);
+    before = *g2;
+    m.write32(0x2008, 2); // memo hit
+    EXPECT_GT(*g2, before);
+    before = *g1;
+    m.write32(0x1001, 2); // unaligned
+    EXPECT_GT(*g1, before);
+    before = *g1;
+    m.writeFloat(0x1010, 1.5f);
+    EXPECT_GT(*g1, before);
+
+    // A block crossing the 0x1000/0x2000/0x3000 edges moves all three.
+    const uint64_t b1 = *g1, b2 = *g2, b3 = *g3;
+    std::vector<uint8_t> data(MainMemory::PageSize + 64, 0x7f);
+    m.writeBlock(0x2000 - 32, data.data(), data.size());
+    EXPECT_GT(*g1, b1);
+    EXPECT_GT(*g2, b2);
+    EXPECT_GT(*g3, b3);
+
+    // Writing the same value still moves the generation.
+    before = *g3;
+    m.write8(0x3000, m.read8(0x3000));
+    EXPECT_GT(*g3, before);
+}
+
+TEST(MainMemory, ClearResetsTheWriteMemo)
+{
+    MainMemory m;
+    m.write32(0x5000, 0x11111111); // memo now names page 5
+    const uint64_t epoch = m.epoch();
+    m.clear();
+    EXPECT_GT(m.epoch(), epoch);
+    EXPECT_EQ(m.residentPages(), 0u);
+    EXPECT_EQ(m.read32(0x5000), 0u);
+    // Same page again: must allocate a fresh page, not reuse the
+    // freed one the memo named.
+    m.write32(0x5004, 0x22222222);
+    EXPECT_EQ(m.residentPages(), 1u);
+    EXPECT_EQ(m.read32(0x5000), 0u);
+    EXPECT_EQ(m.read32(0x5004), 0x22222222u);
+}
+
+TEST(MainMemory, MoveConstructionResetsTheWriteMemoOnBothSides)
+{
+    MainMemory a;
+    a.write32(0x6000, 0xaaaaaaaa); // a's memo names page 6
+    MainMemory b(std::move(a));
+    EXPECT_EQ(b.read32(0x6000), 0xaaaaaaaau);
+
+    // The moved-from memory is empty and writes into its own page.
+    EXPECT_EQ(a.residentPages(), 0u); // NOLINT(bugprone-use-after-move)
+    a.write32(0x6000, 0xbbbbbbbb);
+    EXPECT_EQ(a.read32(0x6000), 0xbbbbbbbbu);
+    EXPECT_EQ(b.read32(0x6000), 0xaaaaaaaau);
+
+    b.write32(0x6004, 0xcccccccc);
+    EXPECT_EQ(b.read32(0x6004), 0xccccccccu);
+    EXPECT_EQ(a.read32(0x6004), 0u);
+}
+
+TEST(MainMemory, MoveAssignmentResetsTheWriteMemoOnBothSides)
+{
+    MainMemory a, b;
+    a.write32(0x7000, 0xaaaaaaaa); // a's memo names page 7
+    b.write32(0x7000, 0xdddddddd); // b's memo names its own page 7
+    const uint64_t b_epoch = b.epoch();
+    const uint64_t a_epoch = a.epoch();
+    b = std::move(a);
+    EXPECT_GT(b.epoch(), b_epoch); // b's old pages are gone
+    EXPECT_GT(a.epoch(), a_epoch); // so are a's
+    EXPECT_EQ(b.read32(0x7000), 0xaaaaaaaau);
+
+    // b must write into the page it now owns, not its freed one.
+    b.write32(0x7004, 0xeeeeeeee);
+    EXPECT_EQ(b.read32(0x7004), 0xeeeeeeeeu);
+    EXPECT_EQ(b.read32(0x7000), 0xaaaaaaaau);
+
+    // a must not write into b's page.
+    a.write32(0x7000, 0xbbbbbbbb); // NOLINT(bugprone-use-after-move)
+    EXPECT_EQ(a.read32(0x7000), 0xbbbbbbbbu);
+    EXPECT_EQ(b.read32(0x7000), 0xaaaaaaaau);
+    EXPECT_EQ(a.residentPages(), 1u);
+}
+
+TEST(MainMemory, PagesVisitedInPlaceAndZeroTest)
+{
+    MainMemory m;
+    m.write8(0x1000, 0); // resident but all zero
+    m.write8(0x2fff, 9);
+    size_t visited = 0;
+    m.forEachPage([&](uint32_t pn, auto bytes) {
+        ++visited;
+        EXPECT_EQ(bytes.size(), MainMemory::PageSize);
+        EXPECT_EQ(isZeroPage(bytes), pn == 1);
+        if (pn == 2) {
+            EXPECT_EQ(bytes[0xfff], 9);
+        }
+    });
+    EXPECT_EQ(visited, 2u);
+
+    // Word-wise zero test with a sub-word tail.
+    std::vector<uint8_t> v(13, 0);
+    EXPECT_TRUE(isZeroPage(v));
+    v[12] = 1;
+    EXPECT_FALSE(isZeroPage(v));
+    v[12] = 0;
+    v[3] = 1;
+    EXPECT_FALSE(isZeroPage(v));
+    EXPECT_TRUE(isZeroPage({}));
 }
 
 TEST(Cache, HitsAndMisses)

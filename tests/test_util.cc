@@ -1,7 +1,7 @@
 /**
  * @file
- * Utility-layer tests: SlotPool per-cycle capacity semantics, stats
- * primitives, the matrix helper, the text table printer, and the
+ * Utility-layer tests: SlotPool per-cycle capacity semantics, the
+ * slicing-by-8 CRC-32 against a one-byte reference, stats primitives, the matrix helper, the text table printer, and the
  * logging error types.
  */
 
@@ -14,6 +14,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "util/crc32.hh"
 #include "util/debug.hh"
 #include "util/json.hh"
 #include "util/logging.hh"
@@ -236,6 +237,65 @@ TEST(SlotPool, MatchesReferenceAcrossPrunes)
                 horizon = held + 70'000;
             }
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// CRC-32: slicing-by-8 against the one-byte-table loop it replaced.
+// ---------------------------------------------------------------------
+
+/** The original CRC-32: one table lookup per byte. */
+uint32_t
+bytewiseCrc32(const uint8_t *p, size_t len)
+{
+    uint32_t c = 0xffffffffu;
+    for (size_t i = 0; i < len; ++i)
+        c = detail::crc32_tables[0][(c ^ p[i]) & 0xffu] ^ (c >> 8);
+    return c ^ 0xffffffffu;
+}
+
+TEST(Crc32, MatchesBytewiseReference)
+{
+    EXPECT_EQ(crc32("123456789", 9), 0xCBF43926u);
+
+    std::vector<uint8_t> buf(8 + 67);
+    uint32_t s = 12345;
+    for (uint8_t &b : buf) {
+        s = s * 1664525u + 1013904223u;
+        b = uint8_t(s >> 24);
+    }
+    // Every start alignment and every length through the 8-byte bulk
+    // loop and its one-byte tail.
+    for (size_t off = 0; off < 8; ++off) {
+        for (size_t len = 0; len <= 67; ++len) {
+            EXPECT_EQ(crc32(buf.data() + off, len),
+                      bytewiseCrc32(buf.data() + off, len))
+                << "off " << off << " len " << len;
+            // Split into two incremental calls at every point.
+            for (size_t cut = 0; cut <= len; cut += 5) {
+                Crc32 c;
+                c.addBytes(buf.data() + off, cut);
+                c.addBytes(buf.data() + off + cut, len - cut);
+                EXPECT_EQ(c.value(), bytewiseCrc32(buf.data() + off, len));
+            }
+        }
+    }
+
+    // add32 / add64 fold the same little-endian bytes addBytes would.
+    for (size_t i = 0; i + 8 <= buf.size(); ++i) {
+        uint64_t v = 0;
+        for (int k = 7; k >= 0; --k)
+            v = (v << 8) | buf[i + k];
+        Crc32 by32, by64, bytes;
+        by32.addByte(0x5a); // non-initial running CRC
+        by64.addByte(0x5a);
+        bytes.addByte(0x5a);
+        by32.add32(uint32_t(v));
+        by32.add32(uint32_t(v >> 32));
+        by64.add64(v);
+        bytes.addBytes(buf.data() + i, 8);
+        EXPECT_EQ(by32.value(), bytes.value());
+        EXPECT_EQ(by64.value(), bytes.value());
     }
 }
 
