@@ -152,7 +152,7 @@ main(int argc, char **argv)
         } else if (arg == "--jobs") {
             jobs = resolveJobs(int(std::strtol(next(), nullptr, 10)));
         } else if (arg == "--shadow-config") {
-            base.shadow_config = true;
+            base.mesa.shadow_config = true;
         } else if (arg == "--skew") {
             skew = std::strtod(next(), nullptr);
         } else if (arg == "--elastic") {
@@ -180,11 +180,11 @@ main(int argc, char **argv)
     const auto kernel =
         workloads::kernelByName(kernel_name, {scale});
 
-    base.accel = accel::AccelParams::m128();
-    base.enable_tiling = false; // isolate scheduling (file comment)
+    base.mesa.accel = accel::AccelParams::m128();
+    base.mesa.enable_tiling = false; // isolate scheduling (file comment)
     if (ways <= 0)
         ways = std::min(tenants,
-                        sched::maxWays(base.accel,
+                        sched::maxWays(base.mesa.accel,
                                        kernel.loopBody().size()));
 
     // Seeded priorities: same seed, same tenant ordering pressure in
@@ -203,7 +203,7 @@ main(int argc, char **argv)
     // heavy tenant, and the static run must be allowed the same
     // optimization within its band for the comparison to be fair.
     if (skew > 0.0) {
-        base.enable_tiling = true;
+        base.mesa.enable_tiling = true;
         std::vector<double> weights;
         for (int t = 0; t < tenants; ++t)
             weights.push_back(1.0 / std::pow(double(t + 1), skew));

@@ -185,9 +185,7 @@ main(int argc, char **argv)
     // Multi-tenant path: N threads share one scheduled accelerator
     // (spatial partitioning + time-multiplexing, see src/sched/).
     if (tenants > 1) {
-        sched_params.accel = params.accel;
-        sched_params.enable_tiling = params.enable_tiling;
-        sched_params.enable_pipelining = params.enable_pipelining;
+        sched_params.mesa = params;
         sched_params.spatial_ways =
             sched_ways > 0
                 ? sched_ways

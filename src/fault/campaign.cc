@@ -78,131 +78,34 @@ placementAvoids(const accel::AcceleratorConfig &config,
 
 } // namespace
 
-int
-CampaignResult::totalInjections() const
-{
-    int n = 0;
-    for (const auto &k : kernels)
-        n += k.injections;
-    return n;
-}
-
-int
-CampaignResult::totalDetected() const
-{
-    int n = 0;
-    for (const auto &k : kernels)
-        n += k.detected;
-    return n;
-}
-
-int
-CampaignResult::totalRecovered() const
-{
-    int n = 0;
-    for (const auto &k : kernels)
-        n += k.recovered;
-    return n;
-}
-
-int
-CampaignResult::totalBenign() const
-{
-    int n = 0;
-    for (const auto &k : kernels)
-        n += k.benign;
-    return n;
-}
-
-int
-CampaignResult::totalCorrupted() const
-{
-    int n = 0;
-    for (const auto &k : kernels)
-        n += k.corrupted;
-    return n;
-}
-
-int
-CampaignResult::totalSilent() const
-{
-    int n = 0;
-    for (const auto &k : kernels)
-        n += k.silent;
-    return n;
-}
-
-int
-CampaignResult::totalRemapChecks() const
-{
-    int n = 0;
-    for (const auto &k : kernels)
-        n += k.remap_checks;
-    return n;
-}
-
-int
-CampaignResult::totalRemapClean() const
-{
-    int n = 0;
-    for (const auto &k : kernels)
-        n += k.remap_clean;
-    return n;
-}
-
-int
-CampaignResult::totalCertified() const
-{
-    int n = 0;
-    for (const auto &k : kernels)
-        n += k.certified;
-    return n;
-}
-
-int
-CampaignResult::totalSnapshotSkips() const
-{
-    int n = 0;
-    for (const auto &k : kernels)
-        n += k.snapshot_skips;
-    return n;
-}
-
-int
-CampaignResult::totalRelocations() const
-{
-    int n = 0;
-    for (const auto &k : kernels)
-        n += k.relocations;
-    return n;
-}
-
-int
-CampaignResult::totalRelocationSuccess() const
-{
-    int n = 0;
-    for (const auto &k : kernels)
-        n += k.relocation_success;
-    return n;
-}
-
-uint64_t
-CampaignResult::totalMigrateTranslateCycles() const
-{
-    uint64_t n = 0;
-    for (const auto &k : kernels)
-        n += k.migrate_translate_cycles;
-    return n;
-}
-
-uint64_t
-CampaignResult::totalMigrateStreamCycles() const
-{
-    uint64_t n = 0;
-    for (const auto &k : kernels)
-        n += k.migrate_stream_cycles;
-    return n;
-}
+int CampaignResult::totalInjections() const
+{ return sum(&KernelCampaignResult::injections); }
+int CampaignResult::totalDetected() const
+{ return sum(&KernelCampaignResult::detected); }
+int CampaignResult::totalRecovered() const
+{ return sum(&KernelCampaignResult::recovered); }
+int CampaignResult::totalBenign() const
+{ return sum(&KernelCampaignResult::benign); }
+int CampaignResult::totalCorrupted() const
+{ return sum(&KernelCampaignResult::corrupted); }
+int CampaignResult::totalSilent() const
+{ return sum(&KernelCampaignResult::silent); }
+int CampaignResult::totalRemapChecks() const
+{ return sum(&KernelCampaignResult::remap_checks); }
+int CampaignResult::totalRemapClean() const
+{ return sum(&KernelCampaignResult::remap_clean); }
+int CampaignResult::totalCertified() const
+{ return sum(&KernelCampaignResult::certified); }
+int CampaignResult::totalSnapshotSkips() const
+{ return sum(&KernelCampaignResult::snapshot_skips); }
+int CampaignResult::totalRelocations() const
+{ return sum(&KernelCampaignResult::relocations); }
+int CampaignResult::totalRelocationSuccess() const
+{ return sum(&KernelCampaignResult::relocation_success); }
+uint64_t CampaignResult::totalMigrateTranslateCycles() const
+{ return sum(&KernelCampaignResult::migrate_translate_cycles); }
+uint64_t CampaignResult::totalMigrateStreamCycles() const
+{ return sum(&KernelCampaignResult::migrate_stream_cycles); }
 
 std::map<std::string, double>
 CampaignResult::statsSnapshot() const

@@ -143,6 +143,18 @@ struct CampaignResult
     /** Flat numeric view of everything (the determinism test compares
      *  two same-seed campaigns through this). */
     std::map<std::string, double> statsSnapshot() const;
+
+  private:
+    /** One per-kernel counter summed over every kernel. */
+    template <typename T>
+    T
+    sum(T KernelCampaignResult::*field) const
+    {
+        T n = 0;
+        for (const auto &k : kernels)
+            n += k.*field;
+        return n;
+    }
 };
 
 /** Run the campaign (deterministic for a given params.seed). */

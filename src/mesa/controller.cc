@@ -165,6 +165,23 @@ static_assert(persistEvent(PersistOutcome::StoreFailed) ==
 
 } // namespace
 
+TranslatePolicy
+MesaParams::translatePolicy(bool parallel_hint) const
+{
+    TranslatePolicy policy;
+    policy.mapper = mapper;
+    policy.allow_tiling = parallel_hint && enable_tiling;
+    policy.max_unmapped_frac = max_unmapped_frac;
+    policy.options.enable_forwarding = enable_forwarding;
+    policy.options.enable_vectorization = enable_vectorization;
+    policy.options.enable_prefetch = enable_prefetch;
+    // Pipelining is safe for any loop: the dataflow engine enforces
+    // loop-carried register dependences, so a serial reduction simply
+    // pipelines around its recurrence.
+    policy.options.pipelined = enable_pipelining;
+    return policy;
+}
+
 void
 TransparentRunResult::registerInto(StatsRegistry &registry,
                                    const std::string &prefix) const
@@ -473,7 +490,7 @@ MesaController::prepare(const std::vector<Instruction> &body,
     const bool checked_fault_mode =
         params_.fault.enabled && params_.fault.checked_mode;
     std::vector<Instruction> working = body;
-    TranslatePolicy policy;
+    TranslatePolicy policy = params_.translatePolicy(parallel_hint);
     if (params_.enable_unrolling && !checked_fault_mode &&
         body.size() <= capacity) {
         for (int f = std::max(2, params_.unroll_factor); f >= 2;
@@ -493,22 +510,12 @@ MesaController::prepare(const std::vector<Instruction> &body,
         }
     }
 
-    policy.mapper = params_.mapper;
     policy.blocked = faulty_pes_.coords();
     // Oversized bodies fold onto a virtual grid (extension): up to
     // max_time_multiplex instructions share each PE.
     policy.fold_limit = params_.enable_time_multiplexing
                             ? params_.max_time_multiplex
                             : 1;
-    policy.allow_tiling = parallel_hint && params_.enable_tiling;
-    policy.max_unmapped_frac = params_.max_unmapped_frac;
-    policy.options.enable_forwarding = params_.enable_forwarding;
-    policy.options.enable_vectorization = params_.enable_vectorization;
-    policy.options.enable_prefetch = params_.enable_prefetch;
-    // Pipelining is safe for any loop: the dataflow engine enforces
-    // loop-carried register dependences, so a serial reduction simply
-    // pipelines around its recurrence.
-    policy.options.pipelined = params_.enable_pipelining;
     auto translation = translate(working, params_.accel,
                                  accel_.interconnect(), policy);
     if (!translation)
@@ -1013,14 +1020,7 @@ MesaController::runGuarded(Prepared &prep, riscv::ArchState &state,
         if (!skip_snapshot)
             accel_pages = memory_->snapshot();
         ckpt.restore(state, *memory_);
-        riscv::Emulator golden(*memory_);
-        golden.reset(state.pc);
-        golden.state() = state;
-        const uint64_t steps = golden.runWhileInRegion(
-            os.region_start, os.region_end, fp.max_golden_steps);
-        state = golden.state();
-        os.cpu_reexec_instructions += steps;
-        emit(Event::CpuReexec, steps);
+        cpuReexecute(state, os);
         bool match = state == accel_state;
         if (skip_snapshot) {
             os.snapshot_skipped = true;

@@ -116,6 +116,14 @@ struct MesaParams
      * and defective PEs. Off by default.
      */
     fault::FaultToleranceParams fault;
+
+    /**
+     * The translation switches every producer of a placement shares:
+     * mapper window, tiling (only with @p parallel_hint), unmapped
+     * tolerance and the lowering options. Callers add what only they
+     * need (blocked PEs, fold limit, unrolling).
+     */
+    TranslatePolicy translatePolicy(bool parallel_hint) const;
 };
 
 /**

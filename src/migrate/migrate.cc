@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "fault/checkpoint.hh"
 #include "mesa/config_builder.hh"
 #include "riscv/isa.hh"
 
@@ -35,22 +34,15 @@ std::optional<MigrationPlan>
 planMigration(const std::vector<Instruction> &body,
               const accel::AcceleratorConfig &source,
               const accel::AccelParams &target,
-              const core::MapperParams &mapper_params,
-              const std::vector<ic::Coord> &blocked, bool parallel_hint)
+              const core::TranslatePolicy &policy)
 {
     MigrationPlan plan;
     const core::ConfigBlock block(target);
-    if (configFits(source, target, blocked)) {
+    if (configFits(source, target, policy.blocked)) {
         // Warm path: the running bitstream itself fits the target.
         plan.config = source;
         plan.warm = true;
     } else {
-        core::TranslatePolicy policy;
-        policy.mapper = mapper_params;
-        policy.blocked = blocked;
-        policy.fold_limit = 4;
-        policy.allow_tiling = parallel_hint;
-        policy.options.pipelined = source.pipelined;
         const ic::AccelNocInterconnect noc(target.rows, target.cols,
                                            target.noc_slice_width);
         auto tr = core::translate(body, target, noc, policy);
@@ -69,42 +61,6 @@ planMigration(const std::vector<Instruction> &body,
     plan.cost.checkpoint_cycles = riscv::NumUnifiedRegs;
     plan.cost.config_cycles = block.configCycles(plan.config);
     return plan;
-}
-
-std::optional<MigrationOutcome>
-migrateOffload(const std::vector<Instruction> &body,
-               const accel::AcceleratorConfig &source,
-               riscv::ArchState &state, mem::MainMemory &memory,
-               accel::Accelerator &target,
-               const core::MapperParams &mapper_params,
-               const std::vector<ic::Coord> &blocked, bool parallel_hint,
-               uint64_t max_iterations)
-{
-    auto plan = planMigration(body, source, target.params(),
-                              mapper_params, blocked, parallel_hint);
-    if (!plan)
-        return std::nullopt;
-
-    // Snapshot at the round boundary: live-outs are already in state
-    // (run() writes them back whenever it returns), and memory is the
-    // shared image both fabrics address. The capture exists to roll
-    // back if the resumed run itself faults.
-    const fault::Checkpoint ckpt =
-        fault::Checkpoint::capture(state, memory);
-
-    MigrationOutcome outcome;
-    outcome.warm = plan->warm;
-    outcome.cost = plan->cost;
-
-    target.configure(plan->config);
-    outcome.run = target.run(state, max_iterations);
-    if (outcome.run.watchdog_tripped) {
-        ckpt.restore(state, memory);
-        outcome.resumed = false;
-        return outcome;
-    }
-    outcome.resumed = true;
-    return outcome;
 }
 
 } // namespace mesa::migrate

@@ -14,8 +14,12 @@
  * followed by M iterations on fabric B from the written-back state is
  * the same computation as N+M iterations on either fabric alone.
  * Memory is shared (the fabrics address the same MainMemory), so the
- * checkpoint hand-off carries only architectural state; the captured
- * page snapshot exists for rollback when the resume itself faults.
+ * checkpoint hand-off carries only architectural state.
+ *
+ * planMigration() is the one planner: the elastic scheduler
+ * (sched::MultiTenantScheduler) grows a solo tenant onto a merged row
+ * band through it, and the caller then configures the target and
+ * resumes with Accelerator::run().
  */
 
 #ifndef MESA_MIGRATE_MIGRATE_HH
@@ -25,13 +29,10 @@
 #include <optional>
 #include <vector>
 
-#include "accel/accelerator.hh"
 #include "accel/config_types.hh"
 #include "accel/params.hh"
 #include "interconnect/interconnect.hh"
-#include "mesa/mapper.hh"
 #include "mesa/translate.hh"
-#include "riscv/emulator.hh"
 
 namespace mesa::migrate
 {
@@ -87,63 +88,25 @@ bool configFits(const accel::AcceleratorConfig &config,
 
 /**
  * Plan a migration of a running offload (currently configured as
- * @p source) onto @p target. Warm path: the source config fits the
- * target geometry, so only the bitstream write is paid. Cold path:
- * re-translate with core::translate() onto the target, folding up to
- * 4 instructions per PE and routing around @p blocked. A migrated
- * region has already been profiled, so a tileable one (per
- * @p parallel_hint and the translation's safety gates) commits to the
- * grid's full tile ceiling.
+ * @p source) onto @p target: the single planner behind every live
+ * move. Warm path: the source config fits the target geometry (no
+ * PE in @p policy.blocked), so only the bitstream write is paid.
+ * Cold path: re-translate with core::translate() onto the target
+ * under the caller's @p policy (fold limit, blocked PEs, lowering
+ * options). A migrated region has already been profiled, so a
+ * tileable one commits to the grid's full tile ceiling.
  *
- * @return nullopt when the body cannot be encoded or fully placed
+ * Call at a round boundary only: the resumed Accelerator::run()
+ * latches live-ins from the state the source run wrote back.
+ *
+ * @return nullopt when the body cannot be encoded or placed within
+ *         the policy's unmapped tolerance
  */
 std::optional<MigrationPlan>
 planMigration(const std::vector<riscv::Instruction> &body,
               const accel::AcceleratorConfig &source,
               const accel::AccelParams &target,
-              const core::MapperParams &mapper_params,
-              const std::vector<ic::Coord> &blocked,
-              bool parallel_hint = false);
-
-/** Outcome of one live migration. */
-struct MigrationOutcome
-{
-    /** The offload resumed on the target. false = the resumed run
-     *  tripped the watchdog; state and memory were rolled back to the
-     *  pre-migration checkpoint (the caller recovers, e.g. on CPU). */
-    bool resumed = false;
-
-    bool warm = false;
-    MigrationCost cost;
-
-    /** The target-side run (zero-initialized when !resumed). */
-    accel::AccelRunResult run;
-};
-
-/**
- * Migrate a running offload onto @p target and resume it: plan (warm
- * or re-translate), checkpoint @p state and @p memory, configure the
- * target, and run up to @p max_iterations more iterations. A
- * watchdog trip on the target restores the checkpoint byte-exactly,
- * so a faulted migration is never observable.
- *
- * Call at a round boundary only: @p state must hold the live-outs the
- * source fabric wrote back from its last run() (that is what run()
- * leaves in @p state whenever it returns).
- *
- * @return nullopt when no placement exists on the target (state is
- *         untouched); otherwise the outcome, with resumed == false
- *         when the target run faulted and was rolled back
- */
-std::optional<MigrationOutcome>
-migrateOffload(const std::vector<riscv::Instruction> &body,
-               const accel::AcceleratorConfig &source,
-               riscv::ArchState &state, mem::MainMemory &memory,
-               accel::Accelerator &target,
-               const core::MapperParams &mapper_params,
-               const std::vector<ic::Coord> &blocked = {},
-               bool parallel_hint = false,
-               uint64_t max_iterations = ~uint64_t(0));
+              const core::TranslatePolicy &policy);
 
 } // namespace mesa::migrate
 

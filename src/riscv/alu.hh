@@ -98,8 +98,19 @@ aluEval(Op op, uint32_t a, uint32_t b, int32_t imm, uint32_t pc)
         return a;
       case Op::FcvtSW: return fbits(float(sa));
       case Op::FcvtSWu: return fbits(float(a));
-      case Op::FcvtWS: return uint32_t(int32_t(fa));
-      case Op::FcvtWuS: return uint32_t(fa);
+      // RV32F saturates out-of-range inputs; NaN converts as +inf.
+      case Op::FcvtWS:
+        if (std::isnan(fa) || fa >= 0x1p31f)
+            return 0x7FFFFFFFu;
+        if (fa < -0x1p31f)
+            return 0x80000000u;
+        return uint32_t(int32_t(fa));
+      case Op::FcvtWuS:
+        if (std::isnan(fa) || fa >= 0x1p32f)
+            return 0xFFFFFFFFu;
+        if (fa <= -1.0f)
+            return 0;
+        return uint32_t(fa);
       case Op::FeqS: return fa == fb ? 1 : 0;
       case Op::FltS: return fa < fb ? 1 : 0;
       case Op::FleS: return fa <= fb ? 1 : 0;

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "mesa/translate.hh"
-#include "riscv/isa.hh"
 #include "util/debug.hh"
 #include "util/logging.hh"
 #include "util/trace.hh"
@@ -102,8 +101,8 @@ ScheduleResult::registerInto(StatsRegistry &registry,
 MultiTenantScheduler::MultiTenantScheduler(const SchedParams &params,
                                            mem::MainMemory &memory)
     : params_(params), memory_(memory),
-      geometry_(planPartitions(params.accel, params.spatial_ways)),
-      part_params_(params.accel.subArray(0, geometry_.front().rows))
+      geometry_(planPartitions(params.mesa.accel, params.spatial_ways)),
+      part_params_(params.mesa.accel.subArray(0, geometry_.front().rows))
 {
     part_ic_ = std::make_unique<ic::AccelNocInterconnect>(
         part_params_.rows, part_params_.cols,
@@ -115,9 +114,9 @@ MultiTenantScheduler::MultiTenantScheduler(const SchedParams &params,
         Partition p;
         p.geometry = geometry_[k];
         p.accel = std::make_unique<accel::Accelerator>(
-            params_.accel.subArray(geometry_[k].origin_row,
-                                   geometry_[k].rows),
-            memory_, params_.accel_mem);
+            params_.mesa.accel.subArray(geometry_[k].origin_row,
+                                        geometry_[k].rows),
+            memory_, params_.mesa.accel_mem);
         p.accel->setTraceTrack("sched.p" + std::to_string(k) +
                                ".accel");
         partitions_.push_back(std::move(p));
@@ -160,15 +159,8 @@ MultiTenantScheduler::submit(
 
     // A partition runs its tenants purely spatially and fault-free
     // (degraded ways are skipped, never mapped around).
-    core::TranslatePolicy policy;
-    policy.mapper = params_.mapper;
-    policy.allow_tiling = parallel_hint && params_.enable_tiling;
-    policy.max_unmapped_frac = params_.max_unmapped_frac;
-    policy.options.enable_forwarding = params_.enable_forwarding;
-    policy.options.enable_vectorization = params_.enable_vectorization;
-    policy.options.enable_prefetch = params_.enable_prefetch;
-    policy.options.pipelined = params_.enable_pipelining;
-    auto tr = core::translate(body, part_params_, *part_ic_, policy);
+    auto tr = core::translate(body, part_params_, *part_ic_,
+                              params_.mesa.translatePolicy(parallel_hint));
     if (!tr)
         return -1;
     tr->options.tile_factor = tr->max_tiles;
@@ -178,7 +170,7 @@ MultiTenantScheduler::submit(
     Tenant t;
     t.config = tr->lower(*config_block_, region_start, region_end);
 
-    if (params_.verify_before_offload) {
+    if (params_.mesa.verify_before_offload) {
         // Legality check against the partition geometry before the
         // context can ever land on a sub-array.
         ++verify_checked_;
@@ -317,41 +309,36 @@ MultiTenantScheduler::tryElasticSlice(int t, size_t pk, uint64_t now,
     MergedBand &mb = merged_[{int(lo), m}];
     if (!mb.accel) {
         mb.accel = std::make_unique<accel::Accelerator>(
-            params_.accel.subArray(origin, rows), memory_,
-            params_.accel_mem);
+            params_.mesa.accel.subArray(origin, rows), memory_,
+            params_.mesa.accel_mem);
         mb.accel->setTraceTrack("sched.m" + std::to_string(lo) + "x" +
                                 std::to_string(m) + ".accel");
     }
 
-    // Per-geometry config: re-translate the first time this tenant
+    // Per-geometry plan: re-translate the first time this tenant
     // lands on a band this tall (tiling can now spread across the
-    // merged rows), reuse it warm afterwards.
+    // merged rows), reuse it warm afterwards. The band is taller than
+    // the tenant's way, so a fresh plan is always a cold one.
     uint64_t switch_cost = 0;
     bool warm = true;
-    auto it = T.geo_configs.find(rows);
-    if (it == T.geo_configs.end()) {
-        // A live migration: every node placed, and (like
-        // migrate::planMigration) the full tile ceiling.
-        core::TranslatePolicy policy;
-        policy.mapper = params_.mapper;
-        policy.allow_tiling = T.parallel_hint && params_.enable_tiling;
-        policy.options.pipelined = params_.enable_pipelining;
-        auto tr = core::translate(T.body, mb.accel->params(),
-                                  mb.accel->interconnect(), policy);
-        if (!tr)
+    auto it = T.geo_plans.find(rows);
+    if (it == T.geo_plans.end()) {
+        // A live migration places every node.
+        core::TranslatePolicy policy =
+            params_.mesa.translatePolicy(T.parallel_hint);
+        policy.max_unmapped_frac = 0.0;
+        auto plan = migrate::planMigration(T.body, T.config,
+                                           mb.accel->params(), policy);
+        if (!plan)
             return false;
-        tr->options.tile_factor = tr->max_tiles;
         warm = false;
-        const core::ConfigBlock block(mb.accel->params());
-        const accel::AcceleratorConfig config = tr->lower(
-            block, T.body.front().pc, T.body.back().pc + 4);
-        it = T.geo_configs.emplace(rows, config).first;
-        T.geo_stream_cycles[rows] = block.configCycles(config);
         const uint64_t translate =
-            tr->encode_cycles + tr->map.mapping_cycles;
+            plan->cost.encode_cycles + plan->cost.mapping_cycles;
         switch_cost += translate;
         migration_translate_cycles_ += translate;
+        it = T.geo_plans.emplace(rows, std::move(*plan)).first;
     }
+    const migrate::MigrationPlan &plan = it->second;
 
     T.stats.wait_cycles += now - std::min(now, T.runnable_at);
     if (!T.started) {
@@ -363,11 +350,11 @@ MultiTenantScheduler::tryElasticSlice(int t, size_t pk, uint64_t now,
     // boundary plus the bitstream stream into the merged plane.
     const bool switched = mb.resident != t;
     if (switched) {
-        const uint64_t stream = params_.shadow_config
+        const uint64_t stream = params_.mesa.shadow_config
                                     ? 1
-                                    : T.geo_stream_cycles[rows];
-        switch_cost += stream + riscv::NumUnifiedRegs;
-        mb.accel->configure(it->second);
+                                    : plan.cost.config_cycles;
+        switch_cost += stream + plan.cost.checkpoint_cycles;
+        mb.accel->configure(plan.config);
         mb.resident = t;
         ++migrations_;
         if (warm)
@@ -549,7 +536,8 @@ MultiTenantScheduler::runAll()
         uint64_t switch_cost = 0;
         const bool switched = p->resident != t;
         if (switched) {
-            switch_cost = params_.shadow_config ? 1 : T.stream_cycles;
+            switch_cost =
+                params_.mesa.shadow_config ? 1 : T.stream_cycles;
             p->accel->configure(T.config);
             p->resident = t;
             ++T.stats.switches;
@@ -658,10 +646,10 @@ MultiTenantScheduler::runAll()
     // Shared DRAM bandwidth floor: every partition's fills contend on
     // the same channels the full-array device would use.
     result.dram_accesses = dram_total() - dram_before;
-    if (!params_.accel.ideal_memory && result.dram_accesses > 0) {
+    if (!params_.mesa.accel.ideal_memory && result.dram_accesses > 0) {
         const uint64_t floor = uint64_t(
             std::ceil(double(result.dram_accesses) /
-                      params_.accel.dram_accesses_per_cycle));
+                      params_.mesa.accel.dram_accesses_per_cycle));
         result.makespan_cycles =
             std::max(result.makespan_cycles, floor);
     }

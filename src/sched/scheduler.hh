@@ -31,6 +31,7 @@
 #include "mesa/config_builder.hh"
 #include "mesa/controller.hh"
 #include "mesa/mapper.hh"
+#include "migrate/migrate.hh"
 #include "sched/partition.hh"
 #include "util/stats_registry.hh"
 
@@ -51,9 +52,18 @@ std::optional<Policy> policyByName(const std::string &name);
 /** Scheduler configuration. */
 struct SchedParams
 {
-    accel::AccelParams accel = accel::AccelParams::m128();
-    mem::HierarchyParams accel_mem;
-    core::MapperParams mapper;
+    /**
+     * The accelerator the ways are cut from, its memory hierarchy and
+     * every translation switch (MesaParams::translatePolicy). Two
+     * more fields act here: shadow_config (double-buffered config
+     * plane: a context switch costs a single-cycle swap instead of
+     * streaming the bitstream) and verify_before_offload (statically
+     * verify every tenant's sub-array mapping and saved configuration
+     * at submit time and refuse a region with error-severity findings
+     * before it ever lands on a way — the Mestra-style legality check
+     * for virtualized sub-array contexts).
+     */
+    core::MesaParams mesa;
 
     /** Spatial ways: number of uniform sub-array partitions. */
     int spatial_ways = 1;
@@ -64,46 +74,21 @@ struct SchedParams
      *  partition re-arbitrates. */
     uint64_t epoch_iterations = 256;
 
-    /** Double-buffered config plane: a context switch costs a
-     *  single-cycle swap instead of streaming the bitstream. */
-    bool shadow_config = false;
-
-    // Optimization switches applied when lowering tenant configs.
-    bool enable_tiling = true;
-    bool enable_pipelining = true;
-    bool enable_forwarding = true;
-    bool enable_vectorization = true;
-    bool enable_prefetch = true;
-
     /**
      * Elastic repartitioning (the virtualized-fabric extension): when
      * the arbitrating way's tenant is the only runnable one and
      * adjacent healthy ways sit idle, live-migrate it onto the merged
      * row band (checkpoint at the round boundary, re-translate via
-     * core::translate() for the larger sub-array, resume) instead of
-     * leaving the idle bands dark. The band shrinks back implicitly:
-     * as soon as another tenant is runnable the merge criterion
-     * fails and slices return to single-way granularity.
+     * migrate::planMigration() for the larger sub-array, resume)
+     * instead of leaving the idle bands dark. The band shrinks back
+     * implicitly: as soon as another tenant is runnable the merge
+     * criterion fails and slices return to single-way granularity.
      */
     bool elastic = false;
 
     /** Iterations a tenant must still owe before a migration is
      *  worth its translation + streaming cost. */
     uint64_t elastic_min_remaining = 256;
-
-    /** Mapping failures tolerated before a request is refused. */
-    double max_unmapped_frac = 0.25;
-
-    /**
-     * Statically verify every tenant's sub-array mapping and saved
-     * configuration at submit time (passes 2+3 of src/verify, against
-     * the partition geometry). A region with error-severity findings
-     * is refused (-1) before it ever lands on a way — the Mestra-style
-     * legality check for virtualized sub-array contexts.
-     */
-    bool verify_before_offload = false;
-
-    double clock_ghz = 2.0;
 };
 
 /** Per-tenant schedule outcome. */
@@ -166,7 +151,8 @@ struct ScheduleResult
     uint64_t total_iterations = 0;
     uint64_t dram_accesses = 0;
 
-    /** Submit-time verify gate outcomes (verify_before_offload). */
+    /** Submit-time verify gate outcomes
+     *  (SchedParams::mesa.verify_before_offload). */
     uint64_t verify_checked = 0;
     uint64_t verify_rejects = 0;
 
@@ -296,11 +282,10 @@ class MultiTenantScheduler final : public core::OffloadArbiter
         /** Loop body, kept so elastic migration can re-translate the
          *  region for a merged row band (SchedParams::elastic). */
         std::vector<riscv::Instruction> body;
-        /** Per-geometry configs from past migrations, keyed by the
-         *  band's physical row count (a warm migration pays only the
-         *  stream cost recorded alongside). */
-        std::map<int, accel::AcceleratorConfig> geo_configs;
-        std::map<int, uint64_t> geo_stream_cycles;
+        /** Plans of past migrations, keyed by the band's physical
+         *  row count (a repeat grow pays only the plan's stream and
+         *  checkpoint cost). */
+        std::map<int, migrate::MigrationPlan> geo_plans;
     };
 
     /** A merged row band the elastic policy migrates solo tenants

@@ -242,22 +242,12 @@ ServiceBackend::executeBatch(const std::vector<OffloadJob> &jobs,
     cpu::loadProgram(memory, kernel.program);
 
     sched::SchedParams sp;
-    sp.accel = params_.mesa.accel;
-    sp.accel_mem = params_.mesa.accel_mem;
-    sp.mapper = params_.mesa.mapper;
+    sp.mesa = params_.mesa;
     sp.policy = sched::Policy::Priority;
     sp.epoch_iterations = params_.sched_epoch_iterations;
-    sp.enable_tiling = params_.mesa.enable_tiling;
-    sp.enable_pipelining = params_.mesa.enable_pipelining;
-    sp.enable_forwarding = params_.mesa.enable_forwarding;
-    sp.enable_vectorization = params_.mesa.enable_vectorization;
-    sp.enable_prefetch = params_.mesa.enable_prefetch;
-    sp.shadow_config = params_.mesa.shadow_config;
-    sp.max_unmapped_frac = params_.mesa.max_unmapped_frac;
-    sp.clock_ghz = params_.mesa.clock_ghz;
     sp.spatial_ways = std::min(
         params_.sched_ways,
-        std::max(1, sched::maxWays(sp.accel, body.size())));
+        std::max(1, sched::maxWays(sp.mesa.accel, body.size())));
 
     sched::MultiTenantScheduler scheduler(sp, memory);
 

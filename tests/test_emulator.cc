@@ -83,6 +83,45 @@ TEST(Emulator, MulWrapsModulo32Bits)
     }
 }
 
+TEST(Emulator, FcvtSaturatesOutOfRange)
+{
+    // fcvt.w.s / fcvt.wu.s round toward zero in range and saturate
+    // outside it; NaN converts like +inf (RV32F).
+    struct Row
+    {
+        uint32_t f, w, wu; // input float bits, fcvt.w.s, fcvt.wu.s
+    };
+    const Row rows[] = {
+        {0x7fc00000u, 0x7fffffffu, 0xffffffffu}, // NaN
+        {0x7f800000u, 0x7fffffffu, 0xffffffffu}, // +inf
+        {0xff800000u, 0x80000000u, 0x00000000u}, // -inf
+        {0x4f000000u, 0x7fffffffu, 0x80000000u}, // 2^31
+        {0xcf000000u, 0x80000000u, 0x00000000u}, // -2^31
+        {0x4f800000u, 0x7fffffffu, 0xffffffffu}, // 2^32
+        {0xbf800000u, 0xffffffffu, 0x00000000u}, // -1.0
+        {0xbf000000u, 0x00000000u, 0x00000000u}, // -0.5
+        {0xc0200000u, 0xfffffffeu, 0x00000000u}, // -2.5
+        {0x402ccccdu, 0x00000002u, 0x00000002u}, // 2.7
+    };
+    for (const Row &r : rows) {
+        SCOPED_TRACE(r.f);
+        EXPECT_EQ(aluEval(Op::FcvtWS, r.f, 0, 0, 0), r.w);
+        EXPECT_EQ(aluEval(Op::FcvtWuS, r.f, 0, 0, 0), r.wu);
+
+        for (const bool decode_cache : {true, false}) {
+            Assembler as;
+            as.li(a0, int32_t(r.f));
+            as.fmv_w_x(ft0, a0);
+            as.fcvt_w_s(a1, ft0);
+            as.ecall();
+            Harness h;
+            h.emu.setDecodeCache(decode_cache);
+            h.run(as);
+            EXPECT_EQ(h.emu.x(a1), r.w);
+        }
+    }
+}
+
 TEST(Emulator, LiLargeConstants)
 {
     Assembler as;

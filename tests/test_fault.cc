@@ -532,9 +532,9 @@ TEST(SchedulerFault, QuarantinedPartitionTakesNoSlices)
     cpu::loadProgram(memory, kernel.program);
 
     sched::SchedParams sp;
-    sp.accel = accel::AccelParams::m128();
+    sp.mesa.accel = accel::AccelParams::m128();
     sp.spatial_ways = 2;
-    sp.enable_tiling = false;
+    sp.mesa.enable_tiling = false;
     sched::MultiTenantScheduler sched(sp, memory);
     ASSERT_EQ(sched.ways(), 2);
 
@@ -571,7 +571,7 @@ TEST(SchedulerFault, AllWaysDegradedRefusesSubmission)
     cpu::loadProgram(memory, kernel.program);
 
     sched::SchedParams sp;
-    sp.accel = accel::AccelParams::m128();
+    sp.mesa.accel = accel::AccelParams::m128();
     sp.spatial_ways = 2;
     sched::MultiTenantScheduler sched(sp, memory);
 

@@ -3,9 +3,9 @@
  * Live-migration tests: cross-geometry checkpoint/remap/resume
  * bit-exactness across the kernel suite, warm bitstream reuse between
  * equal-height bands, virtual-row folding onto undersized targets,
- * blocked-PE avoidance, rollback when a fault lands mid-migration, the
- * elastic scheduler's migrate-instead-of-preempt policy, and the
- * controller's drain-and-relocate path.
+ * blocked-PE avoidance, the elastic scheduler's migrate-instead-of-
+ * preempt policy (and its honouring of the MesaParams switches), and
+ * the controller's drain-and-relocate path.
  */
 
 #include <gtest/gtest.h>
@@ -38,6 +38,18 @@ struct LiveOffload
     std::vector<riscv::Instruction> body;
 };
 
+/** The policy these tests translate and migrate under: up to 4
+ *  instructions per PE, pipelined, never tiled, every node placed. */
+core::TranslatePolicy
+migrationPolicy(std::vector<ic::Coord> blocked = {})
+{
+    core::TranslatePolicy policy;
+    policy.blocked = std::move(blocked);
+    policy.fold_limit = 4;
+    policy.options.pipelined = true;
+    return policy;
+}
+
 LiveOffload
 startOffload(const Kernel &kernel, const accel::AccelParams &src_params,
              uint64_t source_iterations)
@@ -51,12 +63,10 @@ startOffload(const Kernel &kernel, const accel::AccelParams &src_params,
     advanceToLoop(*live.emu, kernel);
 
     live.body = kernel.loopBody();
-    core::TranslatePolicy policy;
-    policy.fold_limit = 4;
-    policy.options.pipelined = true;
     const ic::AccelNocInterconnect noc(src_params.rows, src_params.cols,
                                        src_params.noc_slice_width);
-    const auto tr = core::translate(live.body, src_params, noc, policy);
+    const auto tr =
+        core::translate(live.body, src_params, noc, migrationPolicy());
     if (!tr)
         return live; // caller asserts source != nullptr
     live.source =
@@ -69,6 +79,29 @@ startOffload(const Kernel &kernel, const accel::AccelParams &src_params,
     EXPECT_FALSE(r.completed) << "source ran to completion; nothing "
                                  "left to migrate";
     return live;
+}
+
+/** A planned migration and the target-side run it resumed. */
+struct Resumed
+{
+    migrate::MigrationPlan plan;
+    accel::AccelRunResult run;
+};
+
+/** Plan @p live's move onto @p target, configure the target with the
+ *  plan, and resume the offload there to completion. */
+std::optional<Resumed>
+migrateAndResume(LiveOffload &live, accel::Accelerator &target,
+                 std::vector<ic::Coord> blocked = {})
+{
+    auto plan = migrate::planMigration(live.body, live.source->config(),
+                                       target.params(),
+                                       migrationPolicy(std::move(blocked)));
+    if (!plan)
+        return std::nullopt;
+    target.configure(plan->config);
+    const accel::AccelRunResult run = target.run(live.emu->state());
+    return Resumed{std::move(*plan), run};
 }
 
 } // namespace
@@ -101,16 +134,14 @@ TEST(Migrate, CrossGeometryResumeIsBitExactAcrossSuite)
 
         accel::Accelerator target(
             accel::AccelParams::m128().subArray(0, 8), live.memory);
-        const auto out = migrate::migrateOffload(
-            live.body, live.source->config(), live.emu->state(),
-            live.memory, target, core::MapperParams{});
+        const auto out = migrateAndResume(live, target);
         ASSERT_TRUE(out.has_value());
-        EXPECT_TRUE(out->resumed);
-        EXPECT_FALSE(out->warm) << "an 8-row band cannot reuse the "
-                                   "16-row bitstream";
+        EXPECT_FALSE(out->run.watchdog_tripped);
+        EXPECT_FALSE(out->plan.warm) << "an 8-row band cannot reuse "
+                                        "the 16-row bitstream";
         EXPECT_TRUE(out->run.completed);
-        EXPECT_GT(out->cost.encode_cycles, 0u);
-        EXPECT_GT(out->cost.config_cycles, 0u);
+        EXPECT_GT(out->plan.cost.encode_cycles, 0u);
+        EXPECT_GT(out->plan.cost.config_cycles, 0u);
 
         live.emu->run(50'000'000);
         EXPECT_EQ(live.emu->state(), golden.state);
@@ -131,17 +162,15 @@ TEST(Migrate, WarmMoveBetweenEqualBandsReusesBitstream)
     // are band-local, so the running bitstream fits verbatim.
     accel::Accelerator target(
         accel::AccelParams::m128().subArray(8, 8), live.memory);
-    const auto out = migrate::migrateOffload(
-        live.body, live.source->config(), live.emu->state(),
-        live.memory, target, core::MapperParams{});
+    const auto out = migrateAndResume(live, target);
     ASSERT_TRUE(out.has_value());
-    EXPECT_TRUE(out->resumed);
-    EXPECT_TRUE(out->warm);
-    EXPECT_EQ(out->cost.encode_cycles, 0u);
-    EXPECT_EQ(out->cost.mapping_cycles, 0u);
-    EXPECT_GT(out->cost.config_cycles, 0u) << "the bitstream write is "
-                                              "always paid";
-    EXPECT_EQ(out->cost.checkpoint_cycles,
+    EXPECT_FALSE(out->run.watchdog_tripped);
+    EXPECT_TRUE(out->plan.warm);
+    EXPECT_EQ(out->plan.cost.encode_cycles, 0u);
+    EXPECT_EQ(out->plan.cost.mapping_cycles, 0u);
+    EXPECT_GT(out->plan.cost.config_cycles, 0u)
+        << "the bitstream write is always paid";
+    EXPECT_EQ(out->plan.cost.checkpoint_cycles,
               uint64_t(riscv::NumUnifiedRegs));
 
     live.emu->run(50'000'000);
@@ -166,18 +195,11 @@ TEST(Migrate, FoldsOntoUndersizedTargetAndStaysBitExact)
     ASSERT_GE(need, 2) << "body too small to exercise folding";
     const auto band = full.subArray(0, (need + 1) / 2);
 
-    const auto plan = migrate::planMigration(
-        live.body, live.source->config(), band, core::MapperParams{},
-        {});
-    ASSERT_TRUE(plan.has_value());
-    EXPECT_GT(plan->time_multiplex, 1);
-
     accel::Accelerator target(band, live.memory);
-    const auto out = migrate::migrateOffload(
-        live.body, live.source->config(), live.emu->state(),
-        live.memory, target, core::MapperParams{});
+    const auto out = migrateAndResume(live, target);
     ASSERT_TRUE(out.has_value());
-    EXPECT_TRUE(out->resumed);
+    EXPECT_GT(out->plan.time_multiplex, 1);
+    EXPECT_FALSE(out->run.watchdog_tripped);
 
     live.emu->run(50'000'000);
     EXPECT_EQ(live.emu->state(), golden.state);
@@ -199,12 +221,10 @@ TEST(Migrate, BlockedPesOnTargetAreAvoided)
     ASSERT_TRUE(victim.valid());
 
     accel::Accelerator target(accel::AccelParams::m128(), live.memory);
-    const auto out = migrate::migrateOffload(
-        live.body, live.source->config(), live.emu->state(),
-        live.memory, target, core::MapperParams{}, {victim});
+    const auto out = migrateAndResume(live, target, {victim});
     ASSERT_TRUE(out.has_value());
-    EXPECT_TRUE(out->resumed);
-    EXPECT_FALSE(out->warm);
+    EXPECT_FALSE(out->run.watchdog_tripped);
+    EXPECT_FALSE(out->plan.warm);
     const int phys_rows = target.params().rows;
     for (const auto &slot : target.config().slots)
         EXPECT_FALSE(slot.pos.valid() &&
@@ -212,43 +232,6 @@ TEST(Migrate, BlockedPesOnTargetAreAvoided)
                      slot.pos.c == victim.c)
             << "slot placed on (an alias of) the blocked PE";
 
-    live.emu->run(50'000'000);
-    EXPECT_EQ(live.emu->state(), golden.state);
-    EXPECT_TRUE(sameMemory(live.memory.snapshot(), golden.memory));
-}
-
-TEST(Migrate, FaultDuringMigrationRollsBackByteExactly)
-{
-    const Kernel kernel = kernelByName("nn", {256});
-    const auto golden = runReference(kernel);
-
-    auto live = startOffload(kernel, accel::AccelParams::m128(), 64);
-    ASSERT_TRUE(live.source);
-
-    const riscv::ArchState before = live.emu->state();
-    const auto before_mem = live.memory.snapshot();
-
-    // The target hangs from its first resumed iteration: the watchdog
-    // trips and the migration must restore the checkpoint.
-    auto bad_params = accel::AccelParams::m128().subArray(0, 8);
-    bad_params.watchdog_cycles = 20'000;
-    accel::Accelerator target(bad_params, live.memory);
-    accel::FaultPlane plane;
-    plane.stuck_branches.push_back({0});
-    target.injectFaults(plane);
-
-    const auto out = migrate::migrateOffload(
-        live.body, live.source->config(), live.emu->state(),
-        live.memory, target, core::MapperParams{});
-    ASSERT_TRUE(out.has_value());
-    EXPECT_FALSE(out->resumed);
-    EXPECT_EQ(live.emu->state(), before);
-    EXPECT_TRUE(sameMemory(live.memory.snapshot(), before_mem));
-
-    // The failed migration is invisible: finishing on the source
-    // fabric still lands on the golden result.
-    const auto r = live.source->run(live.emu->state());
-    EXPECT_TRUE(r.completed);
     live.emu->run(50'000'000);
     EXPECT_EQ(live.emu->state(), golden.state);
     EXPECT_TRUE(sameMemory(live.memory.snapshot(), golden.memory));
@@ -268,9 +251,9 @@ TEST(ElasticSched, SkewedLoadMigratesAndBeatsStaticPartitioning)
     const int tenants = 4;
 
     sched::SharedRunParams base;
-    base.sched.accel = accel::AccelParams::m128();
+    base.sched.mesa.accel = accel::AccelParams::m128();
     base.sched.spatial_ways = tenants;
-    base.sched.enable_tiling = true;
+    base.sched.mesa.enable_tiling = true;
     for (int t = 0; t < tenants; ++t)
         base.weights.push_back(1.0 / std::pow(double(t + 1), 1.2));
 
@@ -300,6 +283,88 @@ TEST(ElasticSched, SkewedLoadMigratesAndBeatsStaticPartitioning)
     // one: both runs end with byte-identical memory.
     EXPECT_TRUE(
         sameMemory(elastic_mem.snapshot(), static_mem.snapshot()));
+}
+
+/** A serial loop whose body holds a guard-free store -> load pair on
+ *  the same word (the static forwarding edge of paper §4.2):
+ *  b[i] = a[i] + 1, and a running sum re-reads b[i]. */
+Kernel
+forwardingKernel(uint64_t n)
+{
+    using namespace riscv::reg;
+    constexpr uint32_t ArrA = 0x00100000, ArrB = 0x00200000;
+    riscv::Assembler as;
+    as.label("loop");
+    as.lw(t0, 0, a0);
+    as.addi(t0, t0, 1);
+    as.sw(t0, 0, a1);
+    as.lw(t1, 0, a1);
+    as.add(t2, t2, t1);
+    as.addi(a0, a0, 4);
+    as.addi(a1, a1, 4);
+    as.blt(a0, a2, "loop");
+    as.label("exit");
+    as.ecall();
+
+    Kernel k;
+    k.name = "forwarding";
+    k.iterations = n;
+    k.program = as.assemble();
+    k.loop_start = k.program.labelPc("loop");
+    k.loop_end = k.program.labelPc("exit");
+    k.init_data = [n](mem::MainMemory &m) {
+        for (uint64_t i = 0; i < n; ++i)
+            m.write32(ArrA + uint32_t(4 * i), uint32_t(3 * i));
+    };
+    k.init_range = [](riscv::ArchState &st, uint64_t b, uint64_t e) {
+        st.x[a0] = ArrA + uint32_t(4 * b);
+        st.x[a1] = ArrB + uint32_t(4 * b);
+        st.x[a2] = ArrA + uint32_t(4 * e);
+        st.x[t2] = 0;
+    };
+    return k;
+}
+
+TEST(ElasticSched, GrowLowersUnderTheMesaParamsSwitches)
+{
+    // Two ways merge into the whole array, so a solo tenant that grows
+    // at its first slice runs on the geometry a 1-way schedule uses.
+    // The grow's re-translation must lower under the same switches as
+    // submit(): the device counters match for every combination.
+    for (const Kernel &kernel :
+         {forwardingKernel(1024), kernelByName("hotspot", {1024})}) {
+        SCOPED_TRACE(kernel.name);
+        const auto golden = runReference(kernel);
+        for (int mask = 0; mask < 8; ++mask) {
+            SCOPED_TRACE(mask);
+            auto run = [&](int ways) {
+                sched::SharedRunParams params;
+                params.sched.spatial_ways = ways;
+                params.sched.elastic = ways > 1;
+                params.sched.mesa.enable_forwarding = mask & 1;
+                params.sched.mesa.enable_vectorization = mask & 2;
+                params.sched.mesa.enable_prefetch = mask & 4;
+                mem::MainMemory memory;
+                const auto res =
+                    sched::runShared(params, memory, kernel, 1);
+                EXPECT_TRUE(res.all_completed);
+                EXPECT_TRUE(sameMemory(memory.snapshot(), golden.memory));
+                return res.sched;
+            };
+            const auto grown = run(2);
+            const auto solo = run(1);
+            ASSERT_EQ(grown.migrations, 1u);
+            ASSERT_EQ(grown.tenants.size(), 1u);
+            ASSERT_EQ(solo.tenants.size(), 1u);
+            const auto &g = grown.tenants[0].accel;
+            const auto &s = solo.tenants[0].accel;
+            EXPECT_EQ(g.cycles, s.cycles);
+            EXPECT_EQ(g.iterations, s.iterations);
+            EXPECT_EQ(g.loads, s.loads);
+            EXPECT_EQ(g.store_load_forwards, s.store_load_forwards);
+            EXPECT_EQ(g.dram_accesses, s.dram_accesses);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -50,11 +50,11 @@ baseParams(int ways, sched::Policy policy = sched::Policy::RoundRobin,
            uint64_t epoch = 256)
 {
     sched::SchedParams p;
-    p.accel = accel::AccelParams::m128();
+    p.mesa.accel = accel::AccelParams::m128();
     p.spatial_ways = ways;
     p.policy = policy;
     p.epoch_iterations = epoch;
-    p.enable_tiling = false;
+    p.mesa.enable_tiling = false;
     return p;
 }
 
@@ -253,7 +253,7 @@ TEST(Scheduler, TilingObeysTheTranslationSafetyGates)
     auto makespan = [&](bool tiling) {
         sched::SharedRunParams params;
         params.sched = baseParams(1);
-        params.sched.enable_tiling = tiling;
+        params.sched.mesa.enable_tiling = tiling;
         mem::MainMemory memory;
         const auto res = sched::runShared(params, memory, kernel, 2);
         EXPECT_TRUE(res.all_completed);
@@ -262,4 +262,23 @@ TEST(Scheduler, TilingObeysTheTranslationSafetyGates)
         return res.makespan_cycles;
     };
     EXPECT_EQ(makespan(true), makespan(false));
+}
+
+TEST(Scheduler, VerifyGateChecksEverySubmit)
+{
+    // SchedParams::mesa.verify_before_offload turns on the submit-time
+    // legality check: every accepted region is verified against its
+    // partition, and a clean suite kernel passes.
+    const Kernel kernel = kernelByName("nn", {512});
+    const GoldenResult want = runReference(kernel);
+    sched::SharedRunParams params;
+    params.sched = baseParams(2);
+    params.sched.mesa.verify_before_offload = true;
+    const int tenants = 3;
+    mem::MainMemory memory;
+    const auto res = sched::runShared(params, memory, kernel, tenants);
+    EXPECT_TRUE(res.all_completed);
+    EXPECT_EQ(res.sched.verify_checked, uint64_t(tenants));
+    EXPECT_EQ(res.sched.verify_rejects, 0u);
+    EXPECT_TRUE(sameMemory(memory.snapshot(), want.memory));
 }
