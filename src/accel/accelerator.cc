@@ -139,9 +139,9 @@ void
 Accelerator::resetCounters()
 {
     const size_t n = config_.slots.size();
-    node_latency_.assign(n, Average{});
-    edge_latency1_.assign(n, Average{});
-    edge_latency2_.assign(n, Average{});
+    node_latency_.assign(n, CycleAverage{});
+    edge_latency1_.assign(n, CycleAverage{});
+    edge_latency2_.assign(n, CycleAverage{});
 }
 
 void
@@ -263,7 +263,7 @@ Accelerator::measuredNodeLatency(NodeId id) const
 {
     if (id < 0 || size_t(id) >= node_latency_.size())
         return -1.0;
-    const Average &avg = node_latency_[size_t(id)];
+    const CycleAverage &avg = node_latency_[size_t(id)];
     return avg.count() ? avg.mean() : -1.0;
 }
 
@@ -374,9 +374,9 @@ Accelerator::runIteration(Instance &inst, AccelRunResult &result)
         }
         const uint64_t arr = start + rt.latency;
         if (operand == 0)
-            edge_latency1_[i].sample(double(arr - t0));
+            edge_latency1_[i].sample(arr - t0);
         else if (operand == 1)
-            edge_latency2_[i].sample(double(arr - t0));
+            edge_latency2_[i].sample(arr - t0);
         if (prof_) {
             recordEdge(i, operand, rt.src, t0, arr,
                        rt.fallback || rt.lane >= 0);
@@ -565,7 +565,7 @@ Accelerator::runIteration(Instance &inst, AccelRunResult &result)
             out[i] ^= fault_xor;
         }
 
-        node_latency_[i].sample(double(done[i] - ready));
+        node_latency_[i].sample(done[i] - ready);
         // Pipelined PE: a new iteration's operation can issue after
         // the issue interval, not only after full completion.
         pe_next = ready + params_.pe_issue_interval;

@@ -309,9 +309,9 @@ class Accelerator
     std::vector<std::pair<int, uint64_t>> iter_group_done_;
 
     // Performance counters (paper §5.2): per-node and per-edge.
-    std::vector<Average> node_latency_;
-    std::vector<Average> edge_latency1_;
-    std::vector<Average> edge_latency2_;
+    std::vector<CycleAverage> node_latency_;
+    std::vector<CycleAverage> edge_latency1_;
+    std::vector<CycleAverage> edge_latency2_;
 };
 
 } // namespace mesa::accel

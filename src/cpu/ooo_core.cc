@@ -48,6 +48,9 @@ void
 OooCore::consume(const TraceEntry &entry)
 {
     const riscv::Instruction &inst = entry.inst;
+    // One table row per dynamic instruction: class, sources and
+    // register files all come from it.
+    const riscv::OpProps &props = riscv::opProps(inst.op);
     ++stats_.instructions;
 
     // --- Dispatch ---
@@ -76,18 +79,18 @@ OooCore::consume(const TraceEntry &entry)
 
     // --- Source readiness (up to 3 sources for fused FP ops) ---
     uint64_t ready = dispatch;
-    for (int n = 0; n < 3; ++n) {
+    for (int n = 0; n < props.num_sources; ++n) {
         const int src = inst.unifiedSrc(n);
         if (src >= 0)
             ready = std::max(ready, reg_ready_[size_t(src)]);
     }
 
     // --- Issue + execute ---
-    const OpClass cls = inst.cls();
+    const OpClass cls = props.cls;
     const uint64_t issue = acquireFu(cls, ready);
     uint64_t complete;
 
-    if (inst.isLoad()) {
+    if (cls == OpClass::Load) {
         ++stats_.loads;
         uint64_t latency;
         auto st = store_ready_.find(entry.mem_addr);
@@ -106,7 +109,7 @@ OooCore::consume(const TraceEntry &entry)
                      {"latency", latency}});
             }
         }
-    } else if (inst.isStore()) {
+    } else if (cls == OpClass::Store) {
         ++stats_.stores;
         mem_.accessLatency(entry.mem_addr, true);
         complete = issue + uint64_t(params_.op_latency.cycles(cls));
@@ -126,7 +129,7 @@ OooCore::consume(const TraceEntry &entry)
         reg_ready_[size_t(dest)] = complete;
 
     // --- Branch resolution ---
-    if (inst.isBranch()) {
+    if (cls == OpClass::Branch) {
         ++stats_.branches;
         const bool mispredicted =
             params_.use_gshare
@@ -143,7 +146,7 @@ OooCore::consume(const TraceEntry &entry)
                 fetch_stall_until_,
                 dispatch + params_.taken_branch_bubble);
         }
-    } else if (inst.isJump()) {
+    } else if (cls == OpClass::Jump) {
         // Jumps always redirect fetch.
         ++stats_.branches;
         fetch_stall_until_ =

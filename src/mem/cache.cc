@@ -21,20 +21,14 @@ Cache::Cache(std::string name, const CacheParams &params)
     if (lines == 0 || lines % params_.assoc != 0)
         fatal("cache ", name_, ": size/assoc/line geometry invalid");
     num_sets_ = lines / params_.assoc;
-    line_shift_ = std::countr_zero(params_.line_bytes);
+    // Sets and tags are cut from the address by shift and mask.
+    if (!std::has_single_bit(num_sets_))
+        fatal("cache ", name_, ": set count ", num_sets_,
+              " is not a power of two");
+    line_shift_ = unsigned(std::countr_zero(params_.line_bytes));
+    tag_shift_ = line_shift_ + unsigned(std::countr_zero(num_sets_));
+    set_mask_ = num_sets_ - 1;
     lines_.assign(lines, Line{});
-}
-
-size_t
-Cache::setBase(uint32_t addr) const
-{
-    return (addr >> line_shift_) % num_sets_ * params_.assoc;
-}
-
-uint32_t
-Cache::tagOf(uint32_t addr) const
-{
-    return (addr >> line_shift_) / uint32_t(num_sets_);
 }
 
 bool

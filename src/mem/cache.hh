@@ -32,7 +32,8 @@ struct CacheParams
 /**
  * One level of set-associative cache with true-LRU replacement.
  * Models tags only (data lives in MainMemory); write-allocate,
- * write-back policy.
+ * write-back policy. Line size and set count must be powers of two,
+ * so a set index and tag are a shift and a mask of the address.
  */
 class Cache
 {
@@ -81,13 +82,26 @@ class Cache
     };
 
     /** Index in lines_ of the first way of @p addr's set. */
-    size_t setBase(uint32_t addr) const;
-    uint32_t tagOf(uint32_t addr) const;
+    size_t
+    setBase(uint32_t addr) const
+    {
+        return ((addr >> line_shift_) & set_mask_) * params_.assoc;
+    }
+
+    /** Address bits above the set index. Shifted 64-bit: when sets
+     *  times line bytes reach 2^32 no tag bits are left. */
+    uint32_t
+    tagOf(uint32_t addr) const
+    {
+        return uint32_t(uint64_t(addr) >> tag_shift_);
+    }
 
     std::string name_;
     CacheParams params_;
-    size_t num_sets_;
+    size_t num_sets_;    ///< A power of two (checked on construction).
     unsigned line_shift_;
+    unsigned tag_shift_; ///< line_shift_ + log2(num_sets_).
+    size_t set_mask_;    ///< num_sets_ - 1.
     /** Set-major: set s occupies [s * assoc, (s + 1) * assoc). One
      *  allocation however many sets the geometry has. */
     std::vector<Line> lines_;

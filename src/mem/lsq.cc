@@ -40,7 +40,7 @@ LoadStoreUnit::beginIteration()
     store_hi_ = 0;
 }
 
-Average &
+CycleAverage &
 LoadStoreUnit::amatFor(unsigned seq)
 {
     if (seq >= entry_amat_.size())
@@ -119,7 +119,7 @@ LoadStoreUnit::load(unsigned seq, uint32_t addr, Op op,
         if (ready_cycle < hit->ready_cycle)
             ++invalidations_, result.invalidated = true;
         result.done_cycle = std::max(ready_cycle, hit->ready_cycle) + 1;
-        amatFor(seq).sample(double(result.done_cycle - ready_cycle));
+        amatFor(seq).sample(result.done_cycle - ready_cycle);
         return result;
     }
 
@@ -147,7 +147,7 @@ LoadStoreUnit::load(unsigned seq, uint32_t addr, Op op,
     }
     result.value = value;
     result.done_cycle = issue + latency;
-    amatFor(seq).sample(double(result.done_cycle - ready_cycle));
+    amatFor(seq).sample(result.done_cycle - ready_cycle);
     return result;
 }
 
@@ -210,23 +210,25 @@ LoadStoreUnit::store(unsigned seq, uint32_t addr, uint32_t value, Op op,
                      uint64_t ready_cycle)
 {
     ++stores_;
+    // The device loop buffers stores in slot order, which is program
+    // order; commitStores() relies on it instead of sorting.
+    if (!store_buffer_.empty() && seq <= store_buffer_.back().seq)
+        panic("LoadStoreUnit::store: seq ", seq, " buffered after seq ",
+              store_buffer_.back().seq);
     store_buffer_.push_back({seq, addr, value, op, ready_cycle});
     const unsigned width =
         (op == Op::Sb) ? 1 : (op == Op::Sh) ? 2 : 4;
     store_lo_ = std::min(store_lo_, uint64_t(addr));
     store_hi_ = std::max(store_hi_, uint64_t(addr) + width - 1);
-    amatFor(seq).sample(1.0);
+    amatFor(seq).sample(1);
 }
 
 uint64_t
 LoadStoreUnit::commitStores()
 {
-    // Stores commit in program order; each commit takes a port cycle
-    // and writes through the hierarchy.
-    std::sort(store_buffer_.begin(), store_buffer_.end(),
-              [](const PendingStore &a, const PendingStore &b) {
-                  return a.seq < b.seq;
-              });
+    // Stores commit in program order (the buffer's push order, see
+    // store()); each commit takes a port cycle and writes through the
+    // hierarchy.
     uint64_t last = 0;
     uint64_t prev_commit = 0;
     for (const auto &st : store_buffer_) {
@@ -254,13 +256,13 @@ LoadStoreUnit::entryAmat(unsigned seq) const
 double
 LoadStoreUnit::overallAmat() const
 {
-    double sum = 0.0;
+    uint64_t sum = 0;
     uint64_t n = 0;
     for (const auto &avg : entry_amat_) {
         sum += avg.sum();
         n += avg.count();
     }
-    return n ? sum / double(n) : 0.0;
+    return n ? double(sum) / double(n) : 0.0;
 }
 
 void

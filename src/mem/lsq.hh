@@ -104,6 +104,8 @@ class LoadStoreUnit
 
     /**
      * Buffer a store for in-order commit at the end of the iteration.
+     * Stores must arrive in increasing seq order; an older store after
+     * a younger one panics.
      *
      * @param ready_cycle cycle both address and data are available
      */
@@ -149,8 +151,9 @@ class LoadStoreUnit
     MainMemory &mem_;
     MemHierarchy &hierarchy_;
     PortPool &ports_;
-    /** Buffered stores in push (program) order; a handful per
-     *  iteration, so forwarding scans it newest-first. */
+    /** Buffered stores in push order, which store() checks is
+     *  program (seq) order; a handful per iteration, so forwarding
+     *  scans it newest-first. */
     std::vector<PendingStore> store_buffer_;
     /** Tight [min, max] byte range covered by buffered stores; lets
      *  peek() skip the patch scan when the load cannot overlap. Held
@@ -159,9 +162,9 @@ class LoadStoreUnit
     uint64_t store_lo_ = UINT64_MAX;
     uint64_t store_hi_ = 0;
     /** Per-entry latency averages indexed by LDFG seq (dense, small). */
-    std::vector<Average> entry_amat_;
+    std::vector<CycleAverage> entry_amat_;
 
-    Average &amatFor(unsigned seq);
+    CycleAverage &amatFor(unsigned seq);
 
     Counter loads_{"loads"};
     Counter stores_{"stores"};

@@ -11,9 +11,18 @@
  * epoch counter, which is the signal that any cached page pointer is
  * dead (pages are otherwise never deallocated).
  *
+ * Pages are found through a three-level page directory indexed by
+ * slices of the page number (root, mid node, leaf of pages). The root
+ * lives in the object; each mid node and leaf is allocated by the
+ * first write into its range. A read is three indexed loads that
+ * never hash and never allocate,
+ * and touches no mutable state: concurrent readers of one memory
+ * stay race-free. The leaves own the pages, so whole-memory walks
+ * visit them in page-number order.
+ *
  * The write path remembers the last page it resolved, so a run of
- * writes to one page costs one hash lookup. Const reads never touch
- * that memo: concurrent readers of one memory stay race-free.
+ * writes to one page (loading a program or a data set) costs one
+ * compare. Const reads never touch that memo.
  */
 
 #ifndef MESA_MEM_MEMORY_HH
@@ -44,7 +53,8 @@ class MainMemory
 
     /** Take @p o's pages; @p o is left empty, as after clear(). */
     MainMemory(MainMemory &&o) noexcept
-        : pages_(std::move(o.pages_)), epoch_(o.epoch_)
+        : root_(std::move(o.root_)), resident_(o.resident_),
+          epoch_(o.epoch_)
     {
         o.clear();
     }
@@ -58,7 +68,8 @@ class MainMemory
     operator=(MainMemory &&o) noexcept
     {
         if (this != &o) {
-            pages_ = std::move(o.pages_);
+            root_ = std::move(o.root_);
+            resident_ = o.resident_;
             memo_ = nullptr;
             epoch_ = std::max(epoch_, o.epoch_) + 1;
             o.clear();
@@ -156,7 +167,7 @@ class MainMemory
     }
 
     /** Number of resident (touched) pages. */
-    size_t residentPages() const { return pages_.size(); }
+    size_t residentPages() const { return resident_; }
 
     /**
      * Bounding byte span [lo, hi) over all resident pages ({0, 0}
@@ -167,35 +178,53 @@ class MainMemory
     std::pair<uint64_t, uint64_t>
     residentSpan() const
     {
-        if (pages_.empty())
+        if (resident_ == 0)
             return {0, 0};
         uint32_t min_pn = UINT32_MAX;
         uint32_t max_pn = 0;
-        for (const auto &[pn, pg] : pages_) {
+        forEachPage([&](uint32_t pn, auto) {
             min_pn = std::min(min_pn, pn);
-            max_pn = std::max(max_pn, pn);
-        }
+            max_pn = pn; // visited in ascending order
+        });
         return {uint64_t(min_pn) << PageShift,
                 (uint64_t(max_pn) + 1) << PageShift};
     }
 
     /**
      * Visit every resident page in place as (page number, its PageSize
-     * bytes), in unspecified order.
+     * bytes), in ascending page-number order.
      */
     template <typename Fn>
     void
     forEachPage(Fn &&fn) const
     {
-        for (const auto &[pn, pg] : pages_)
-            fn(pn, std::span<const uint8_t, PageSize>(pg->bytes));
+        for (uint32_t r = 0; r < root_.size(); ++r) {
+            const Mid *mid = root_[r].get();
+            if (!mid)
+                continue;
+            for (uint32_t m = 0; m < mid->size(); ++m) {
+                const Leaf *leaf = (*mid)[m].get();
+                if (!leaf)
+                    continue;
+                for (uint32_t l = 0; l < leaf->size(); ++l) {
+                    if (const Page *pg = (*leaf)[l].get()) {
+                        const uint32_t pn =
+                            (((r << MidBits) | m) << LeafBits) | l;
+                        fn(pn, std::span<const uint8_t, PageSize>(
+                                   pg->bytes));
+                    }
+                }
+            }
+        }
     }
 
     /** Drop all contents. Invalidates every cached page pointer. */
     void
     clear()
     {
-        pages_.clear();
+        for (auto &mid : root_)
+            mid.reset();
+        resident_ = 0;
         memo_ = nullptr;
         ++epoch_;
     }
@@ -212,9 +241,9 @@ class MainMemory
      * write moves the counter of each page it touches (a writeBlock
      * bumps it once per page, not once per byte), so an unchanged
      * value means unchanged bytes. The pointer stays valid until
-     * clear() (pages are never individually freed and unordered_map
-     * nodes do not move on rehash); revalidate against epoch() before
-     * dereferencing across calls to clear().
+     * clear() (pages are heap objects, never individually freed);
+     * revalidate against epoch() before dereferencing across calls to
+     * clear().
      */
     const uint64_t *
     pageGenPtr(uint32_t addr) const
@@ -231,9 +260,9 @@ class MainMemory
     snapshot() const
     {
         std::unordered_map<uint32_t, std::vector<uint8_t>> s;
-        for (const auto &[pn, pg] : pages_)
-            s.emplace(pn, std::vector<uint8_t>(pg->bytes.begin(),
-                                               pg->bytes.end()));
+        forEachPage([&](uint32_t pn, auto bytes) {
+            s.emplace(pn, std::vector<uint8_t>(bytes.begin(), bytes.end()));
+        });
         return s;
     }
 
@@ -246,6 +275,36 @@ class MainMemory
         uint64_t gen = 0;
     };
 
+    // Page-number bits resolved at each directory level, top first:
+    // the root splits the 4 GiB space into 16 MiB spans, a mid node
+    // splits a span into 256 KiB leaves, a leaf owns up to 64 pages.
+    // Nodes stay small (2 KiB root, 512 B below) because a loaded
+    // workload touches only a few scattered ranges. The root sits in
+    // the object, saving one allocation per memory.
+    static constexpr uint32_t RootBits = 8, MidBits = 6, LeafBits = 6;
+    static_assert(PageShift + RootBits + MidBits + LeafBits == 32);
+    using Leaf = std::array<std::unique_ptr<Page>, 1u << LeafBits>;
+    using Mid = std::array<std::unique_ptr<Leaf>, 1u << MidBits>;
+    using Root = std::array<std::unique_ptr<Mid>, 1u << RootBits>;
+
+    static uint32_t
+    rootIndex(uint32_t pn)
+    {
+        return pn >> (MidBits + LeafBits);
+    }
+
+    static uint32_t
+    midIndex(uint32_t pn)
+    {
+        return (pn >> LeafBits) & ((1u << MidBits) - 1);
+    }
+
+    static uint32_t
+    leafIndex(uint32_t pn)
+    {
+        return pn & ((1u << LeafBits) - 1);
+    }
+
     /** Resolve (allocating on first touch) the page for a write. */
     Page &
     page(uint32_t addr)
@@ -253,25 +312,47 @@ class MainMemory
         const uint32_t pn = addr >> PageShift;
         if (memo_ && memo_pn_ == pn)
             return *memo_;
-        auto it = pages_.find(pn);
-        if (it == pages_.end()) {
-            auto p = std::make_unique<Page>();
-            p->bytes.fill(0);
-            it = pages_.emplace(pn, std::move(p)).first;
+        return walk(pn);
+    }
+
+    /** page() past the memo. Kept out of line so that the memo hit,
+     *  which a run of sequential writes (loading a data set) takes
+     *  almost every time, inlines into every write. */
+    [[gnu::noinline]] Page &
+    walk(uint32_t pn)
+    {
+        // make_unique value-initialises: every new node entry is null.
+        std::unique_ptr<Mid> &mid = root_[rootIndex(pn)];
+        if (!mid)
+            mid = std::make_unique<Mid>();
+        std::unique_ptr<Leaf> &leaf = (*mid)[midIndex(pn)];
+        if (!leaf)
+            leaf = std::make_unique<Leaf>();
+        std::unique_ptr<Page> &slot = (*leaf)[leafIndex(pn)];
+        if (!slot) {
+            slot = std::make_unique<Page>();
+            slot->bytes.fill(0);
+            ++resident_;
         }
         memo_pn_ = pn;
-        memo_ = it->second.get();
-        return *memo_;
+        memo_ = slot.get();
+        return *slot;
     }
 
     const Page *
     findPage(uint32_t addr) const
     {
-        auto it = pages_.find(addr >> PageShift);
-        return it == pages_.end() ? nullptr : it->second.get();
+        const uint32_t pn = addr >> PageShift;
+        const Mid *mid = root_[rootIndex(pn)].get();
+        if (!mid)
+            return nullptr;
+        const Leaf *leaf = (*mid)[midIndex(pn)].get();
+        return leaf ? (*leaf)[leafIndex(pn)].get() : nullptr;
     }
 
-    std::unordered_map<uint32_t, std::unique_ptr<Page>> pages_;
+    /// Page directory; owns every resident page.
+    Root root_;
+    size_t resident_ = 0; ///< Pages allocated since the last clear().
     uint64_t epoch_ = 0;
     /// Write memo: the page page() returned last (nullptr = none).
     /// Reset by clear() and by both sides of a move.

@@ -19,6 +19,28 @@ namespace mesa::riscv
 {
 
 /**
+ * RV32F fmin.s (@p want_max false) / fmax.s on raw bits: -0 orders
+ * below +0, a single NaN operand yields the other operand, and two
+ * NaNs yield the canonical NaN.
+ */
+inline uint32_t
+fminmaxBits(uint32_t a, uint32_t b, bool want_max)
+{
+    const float fa = std::bit_cast<float>(a);
+    const float fb = std::bit_cast<float>(b);
+    if (std::isnan(fa))
+        return std::isnan(fb) ? 0x7FC00000u : b; // canonical quiet NaN
+    if (std::isnan(fb))
+        return a;
+    if (fa == fb) {
+        // Equal values with different bits are -0 and +0: the min
+        // keeps the sign bit, the max drops it.
+        return want_max ? (a & b) : (a | b);
+    }
+    return (fa < fb) == want_max ? b : a;
+}
+
+/**
  * Evaluate a non-memory, non-control operation.
  *
  * @param a raw bits of operand 1 (integer or float)
@@ -88,8 +110,8 @@ aluEval(Op op, uint32_t a, uint32_t b, int32_t imm, uint32_t pc)
       case Op::FmulS: return fbits(fa * fb);
       case Op::FdivS: return fbits(fa / fb);
       case Op::FsqrtS: return fbits(std::sqrt(fa));
-      case Op::FminS: return fbits(std::fmin(fa, fb));
-      case Op::FmaxS: return fbits(std::fmax(fa, fb));
+      case Op::FminS: return fminmaxBits(a, b, false);
+      case Op::FmaxS: return fminmaxBits(a, b, true);
       case Op::FsgnjS: return (a & 0x7FFFFFFFu) | (b & 0x80000000u);
       case Op::FsgnjnS: return (a & 0x7FFFFFFFu) | (~b & 0x80000000u);
       case Op::FsgnjxS: return a ^ (b & 0x80000000u);

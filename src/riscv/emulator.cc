@@ -146,7 +146,8 @@ Emulator::execute(const Instruction &in)
     TraceEntry te;
     te.inst = in;
 
-    const bool fp_src = fpSources(in.op);
+    const OpProps &props = opProps(in.op);
+    const bool fp_src = props.src == RegFile::Fp;
     const uint32_t a =
         (fp_src && !in.isMem()) ? f[in.rs1] : x[in.rs1];
     const uint32_t b = fp_src ? f[in.rs2] : x[in.rs2];
@@ -154,14 +155,14 @@ Emulator::execute(const Instruction &in)
     te.src2_val = b;
 
     auto writeResult = [&](uint32_t v) {
-        if (fpDest(in.op))
+        if (props.dest == RegFile::Fp)
             f[in.rd] = v;
         else if (in.rd != 0)
             x[in.rd] = v;
         te.result = v;
     };
 
-    switch (in.cls()) {
+    switch (props.cls) {
       case OpClass::Jump:
         writeResult(pc + 4);
         if (in.op == Op::Jal)
@@ -212,7 +213,7 @@ Emulator::execute(const Instruction &in)
         break; // fence is a no-op in this memory model
 
       default:
-        if (in.numSources() == 3) {
+        if (props.num_sources == 3) {
             // R4-type fused multiply-add family.
             const float fa = std::bit_cast<float>(a);
             const float fb = std::bit_cast<float>(b);

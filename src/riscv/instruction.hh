@@ -60,20 +60,20 @@ struct Instruction
     }
 
     /**
-     * Unified source register index for operand n (0 or 1), folding FP
+     * Unified source register index for operand n (0..2), folding FP
      * sources into 32..63. Returns -1 when the operand does not exist
      * or is the hardwired x0.
      */
     int
     unifiedSrc(int n) const
     {
-        const int ns = numSources();
-        if (n >= ns)
+        const OpProps &p = opProps(op);
+        if (n >= p.num_sources)
             return -1;
         const uint8_t r = (n == 0) ? rs1 : (n == 1) ? rs2 : rs3;
         // Loads/stores always take an integer base address in rs1;
         // FP stores carry FP data in rs2.
-        bool fp = fpSources(op);
+        bool fp = p.src == RegFile::Fp;
         if (isMem() && n == 0)
             fp = false;
         if (!fp && r == 0)
@@ -88,11 +88,11 @@ struct Instruction
     int
     unifiedDest() const
     {
-        if (!writesDest())
-            return -1;
-        if (fpDest(op))
-            return NumIntRegs + rd;
-        return rd == 0 ? -1 : rd;
+        switch (opProps(op).dest) {
+          case RegFile::Fp: return NumIntRegs + rd;
+          case RegFile::Int: return rd == 0 ? -1 : rd;
+          default: return -1;
+        }
     }
 
     /** Disassemble to "op rd, rs1, rs2/imm" text. */

@@ -5,181 +5,10 @@
 namespace mesa::riscv
 {
 
-OpClass
-opClass(Op op)
+void
+detail::badOp(Op op)
 {
-    switch (op) {
-      case Op::Invalid:
-        return OpClass::Nop;
-      case Op::Lui:
-      case Op::Auipc:
-      case Op::Addi:
-      case Op::Slti:
-      case Op::Sltiu:
-      case Op::Xori:
-      case Op::Ori:
-      case Op::Andi:
-      case Op::Slli:
-      case Op::Srli:
-      case Op::Srai:
-      case Op::Add:
-      case Op::Sub:
-      case Op::Sll:
-      case Op::Slt:
-      case Op::Sltu:
-      case Op::Xor:
-      case Op::Srl:
-      case Op::Sra:
-      case Op::Or:
-      case Op::And:
-        return OpClass::IntAlu;
-      case Op::Mul:
-      case Op::Mulh:
-      case Op::Mulhsu:
-      case Op::Mulhu:
-        return OpClass::IntMul;
-      case Op::Div:
-      case Op::Divu:
-      case Op::Rem:
-      case Op::Remu:
-        return OpClass::IntDiv;
-      case Op::FaddS:
-      case Op::FsubS:
-      case Op::FminS:
-      case Op::FmaxS:
-      case Op::FsgnjS:
-      case Op::FsgnjnS:
-      case Op::FsgnjxS:
-      case Op::FmvXW:
-      case Op::FmvWX:
-      case Op::FcvtSW:
-      case Op::FcvtSWu:
-      case Op::FcvtWS:
-      case Op::FcvtWuS:
-      case Op::FeqS:
-      case Op::FltS:
-      case Op::FleS:
-        return OpClass::FpAlu;
-      case Op::FmulS:
-      case Op::FmaddS:
-      case Op::FmsubS:
-      case Op::FnmaddS:
-      case Op::FnmsubS:
-        return OpClass::FpMul;
-      case Op::FdivS:
-      case Op::FsqrtS:
-        return OpClass::FpDiv;
-      case Op::Lb:
-      case Op::Lh:
-      case Op::Lw:
-      case Op::Lbu:
-      case Op::Lhu:
-      case Op::Flw:
-        return OpClass::Load;
-      case Op::Sb:
-      case Op::Sh:
-      case Op::Sw:
-      case Op::Fsw:
-        return OpClass::Store;
-      case Op::Beq:
-      case Op::Bne:
-      case Op::Blt:
-      case Op::Bge:
-      case Op::Bltu:
-      case Op::Bgeu:
-        return OpClass::Branch;
-      case Op::Jal:
-      case Op::Jalr:
-        return OpClass::Jump;
-      case Op::Fence:
-      case Op::Ecall:
-      case Op::Ebreak:
-        return OpClass::System;
-      default:
-        panic("opClass: unknown op ", static_cast<int>(op));
-    }
-}
-
-const char *
-opName(Op op)
-{
-    switch (op) {
-      case Op::Invalid: return "invalid";
-      case Op::Lui: return "lui";
-      case Op::Auipc: return "auipc";
-      case Op::Jal: return "jal";
-      case Op::Jalr: return "jalr";
-      case Op::Beq: return "beq";
-      case Op::Bne: return "bne";
-      case Op::Blt: return "blt";
-      case Op::Bge: return "bge";
-      case Op::Bltu: return "bltu";
-      case Op::Bgeu: return "bgeu";
-      case Op::Lb: return "lb";
-      case Op::Lh: return "lh";
-      case Op::Lw: return "lw";
-      case Op::Lbu: return "lbu";
-      case Op::Lhu: return "lhu";
-      case Op::Sb: return "sb";
-      case Op::Sh: return "sh";
-      case Op::Sw: return "sw";
-      case Op::Addi: return "addi";
-      case Op::Slti: return "slti";
-      case Op::Sltiu: return "sltiu";
-      case Op::Xori: return "xori";
-      case Op::Ori: return "ori";
-      case Op::Andi: return "andi";
-      case Op::Slli: return "slli";
-      case Op::Srli: return "srli";
-      case Op::Srai: return "srai";
-      case Op::Add: return "add";
-      case Op::Sub: return "sub";
-      case Op::Sll: return "sll";
-      case Op::Slt: return "slt";
-      case Op::Sltu: return "sltu";
-      case Op::Xor: return "xor";
-      case Op::Srl: return "srl";
-      case Op::Sra: return "sra";
-      case Op::Or: return "or";
-      case Op::And: return "and";
-      case Op::Fence: return "fence";
-      case Op::Ecall: return "ecall";
-      case Op::Ebreak: return "ebreak";
-      case Op::Mul: return "mul";
-      case Op::Mulh: return "mulh";
-      case Op::Mulhsu: return "mulhsu";
-      case Op::Mulhu: return "mulhu";
-      case Op::Div: return "div";
-      case Op::Divu: return "divu";
-      case Op::Rem: return "rem";
-      case Op::Remu: return "remu";
-      case Op::Flw: return "flw";
-      case Op::Fsw: return "fsw";
-      case Op::FaddS: return "fadd.s";
-      case Op::FsubS: return "fsub.s";
-      case Op::FmulS: return "fmul.s";
-      case Op::FdivS: return "fdiv.s";
-      case Op::FsqrtS: return "fsqrt.s";
-      case Op::FminS: return "fmin.s";
-      case Op::FmaxS: return "fmax.s";
-      case Op::FsgnjS: return "fsgnj.s";
-      case Op::FsgnjnS: return "fsgnjn.s";
-      case Op::FsgnjxS: return "fsgnjx.s";
-      case Op::FmvXW: return "fmv.x.w";
-      case Op::FmvWX: return "fmv.w.x";
-      case Op::FcvtSW: return "fcvt.s.w";
-      case Op::FcvtSWu: return "fcvt.s.wu";
-      case Op::FcvtWS: return "fcvt.w.s";
-      case Op::FcvtWuS: return "fcvt.wu.s";
-      case Op::FeqS: return "feq.s";
-      case Op::FltS: return "flt.s";
-      case Op::FleS: return "fle.s";
-      case Op::FmaddS: return "fmadd.s";
-      case Op::FmsubS: return "fmsub.s";
-      case Op::FnmaddS: return "fnmadd.s";
-      case Op::FnmsubS: return "fnmsub.s";
-      default: return "???";
-    }
+    panic("unknown op ", static_cast<int>(op));
 }
 
 const char *
@@ -199,135 +28,6 @@ opClassName(OpClass cls)
       case OpClass::Jump: return "Jump";
       case OpClass::System: return "System";
       default: return "???";
-    }
-}
-
-bool
-fpDest(Op op)
-{
-    switch (op) {
-      case Op::Flw:
-      case Op::FaddS:
-      case Op::FsubS:
-      case Op::FmulS:
-      case Op::FdivS:
-      case Op::FsqrtS:
-      case Op::FminS:
-      case Op::FmaxS:
-      case Op::FsgnjS:
-      case Op::FsgnjnS:
-      case Op::FsgnjxS:
-      case Op::FmvWX:
-      case Op::FcvtSW:
-      case Op::FcvtSWu:
-      case Op::FmaddS:
-      case Op::FmsubS:
-      case Op::FnmaddS:
-      case Op::FnmsubS:
-        return true;
-      default:
-        return false;
-    }
-}
-
-bool
-fpSources(Op op)
-{
-    switch (op) {
-      case Op::Fsw:
-      case Op::FaddS:
-      case Op::FsubS:
-      case Op::FmulS:
-      case Op::FdivS:
-      case Op::FsqrtS:
-      case Op::FminS:
-      case Op::FmaxS:
-      case Op::FsgnjS:
-      case Op::FsgnjnS:
-      case Op::FsgnjxS:
-      case Op::FmvXW:
-      case Op::FcvtWS:
-      case Op::FcvtWuS:
-      case Op::FeqS:
-      case Op::FltS:
-      case Op::FleS:
-      case Op::FmaddS:
-      case Op::FmsubS:
-      case Op::FnmaddS:
-      case Op::FnmsubS:
-        return true;
-      default:
-        return false;
-    }
-}
-
-int
-numSources(Op op)
-{
-    switch (op) {
-      case Op::Lui:
-      case Op::Auipc:
-      case Op::Jal:
-      case Op::Fence:
-      case Op::Ecall:
-      case Op::Ebreak:
-      case Op::Invalid:
-        return 0;
-      case Op::Jalr:
-      case Op::Lb:
-      case Op::Lh:
-      case Op::Lw:
-      case Op::Lbu:
-      case Op::Lhu:
-      case Op::Flw:
-      case Op::Addi:
-      case Op::Slti:
-      case Op::Sltiu:
-      case Op::Xori:
-      case Op::Ori:
-      case Op::Andi:
-      case Op::Slli:
-      case Op::Srli:
-      case Op::Srai:
-      case Op::FsqrtS:
-      case Op::FmvXW:
-      case Op::FmvWX:
-      case Op::FcvtSW:
-      case Op::FcvtSWu:
-      case Op::FcvtWS:
-      case Op::FcvtWuS:
-        return 1;
-      case Op::FmaddS:
-      case Op::FmsubS:
-      case Op::FnmaddS:
-      case Op::FnmsubS:
-        return 3;
-      default:
-        return 2;
-    }
-}
-
-bool
-writesDest(Op op)
-{
-    switch (op) {
-      case Op::Beq:
-      case Op::Bne:
-      case Op::Blt:
-      case Op::Bge:
-      case Op::Bltu:
-      case Op::Bgeu:
-      case Op::Sb:
-      case Op::Sh:
-      case Op::Sw:
-      case Op::Fsw:
-      case Op::Fence:
-      case Op::Ecall:
-      case Op::Ebreak:
-      case Op::Invalid:
-        return false;
-      default:
-        return true;
     }
 }
 

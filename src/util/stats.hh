@@ -38,26 +38,41 @@ class Counter
     uint64_t value_ = 0;
 };
 
-/** Running average of samples (used for measured latencies, AMAT). */
-class Average
+/**
+ * Running average of samples. Sum is the accumulator type: double for
+ * general samples (AMAT), uint64_t for integer cycle counts, whose sum
+ * stays exact and whose mean() equals the double accumulator's as
+ * long as the sum is below 2^53.
+ */
+template <typename Sum>
+class BasicAverage
 {
   public:
     void
-    sample(double v)
+    sample(Sum v)
     {
         sum_ += v;
         ++count_;
     }
 
-    double mean() const { return count_ ? sum_ / count_ : 0.0; }
+    double
+    mean() const
+    {
+        return count_ ? double(sum_) / double(count_) : 0.0;
+    }
     uint64_t count() const { return count_; }
-    double sum() const { return sum_; }
-    void reset() { sum_ = 0.0; count_ = 0; }
+    Sum sum() const { return sum_; }
+    void reset() { sum_ = 0; count_ = 0; }
 
   private:
-    double sum_ = 0.0;
+    Sum sum_ = 0;
     uint64_t count_ = 0;
 };
+
+using Average = BasicAverage<double>;
+
+/** Average of cycle counts (device-loop and LSU latency counters). */
+using CycleAverage = BasicAverage<uint64_t>;
 
 /** Fixed-bucket histogram for latency distributions. */
 class Histogram

@@ -122,6 +122,54 @@ TEST(Emulator, FcvtSaturatesOutOfRange)
     }
 }
 
+TEST(Emulator, FminFmaxFollowRv32f)
+{
+    // fmin.s / fmax.s: -0 orders below +0, one NaN operand returns the
+    // other operand, two NaNs return the canonical NaN 0x7fc00000.
+    struct Row
+    {
+        uint32_t a, b, min, max; // operand bits, fmin.s, fmax.s
+    };
+    const Row rows[] = {
+        {0x3f800000u, 0x40000000u, 0x3f800000u, 0x40000000u}, // 1, 2
+        {0x40000000u, 0x3f800000u, 0x3f800000u, 0x40000000u}, // 2, 1
+        {0xbf800000u, 0x3f800000u, 0xbf800000u, 0x3f800000u}, // -1, 1
+        {0x80000000u, 0x00000000u, 0x80000000u, 0x00000000u}, // -0, +0
+        {0x00000000u, 0x80000000u, 0x80000000u, 0x00000000u}, // +0, -0
+        {0x80000000u, 0x80000000u, 0x80000000u, 0x80000000u}, // -0, -0
+        {0x7fc00000u, 0x3f800000u, 0x3f800000u, 0x3f800000u}, // qNaN, 1
+        {0xbf800000u, 0x7fc00000u, 0xbf800000u, 0xbf800000u}, // -1, qNaN
+        {0x7f800001u, 0x80000000u, 0x80000000u, 0x80000000u}, // sNaN, -0
+        {0xffc12345u, 0x7fc00001u, 0x7fc00000u, 0x7fc00000u}, // NaN, NaN
+        {0x7f800001u, 0x7f800001u, 0x7fc00000u, 0x7fc00000u}, // sNaN x2
+        {0xff800000u, 0x7f800000u, 0xff800000u, 0x7f800000u}, // -inf, inf
+        {0x7f800000u, 0x7fc00000u, 0x7f800000u, 0x7f800000u}, // inf, NaN
+    };
+    for (const Row &r : rows) {
+        SCOPED_TRACE(::testing::Message() << std::hex << r.a << ", " << r.b);
+        EXPECT_EQ(aluEval(Op::FminS, r.a, r.b, 0, 0), r.min);
+        EXPECT_EQ(aluEval(Op::FmaxS, r.a, r.b, 0, 0), r.max);
+
+        for (const bool decode_cache : {true, false}) {
+            Assembler as;
+            as.li(a0, int32_t(r.a));
+            as.li(a1, int32_t(r.b));
+            as.fmv_w_x(ft0, a0);
+            as.fmv_w_x(ft1, a1);
+            as.fmin_s(ft2, ft0, ft1);
+            as.fmax_s(ft3, ft0, ft1);
+            as.fmv_x_w(a2, ft2);
+            as.fmv_x_w(a3, ft3);
+            as.ecall();
+            Harness h;
+            h.emu.setDecodeCache(decode_cache);
+            h.run(as);
+            EXPECT_EQ(h.emu.x(a2), r.min);
+            EXPECT_EQ(h.emu.x(a3), r.max);
+        }
+    }
+}
+
 TEST(Emulator, LiLargeConstants)
 {
     Assembler as;

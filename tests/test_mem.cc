@@ -134,8 +134,9 @@ TEST(MainMemory, ClearResetsTheWriteMemo)
     EXPECT_GT(m.epoch(), epoch);
     EXPECT_EQ(m.residentPages(), 0u);
     EXPECT_EQ(m.read32(0x5000), 0u);
+    EXPECT_EQ(m.pageGenPtr(0x5000), nullptr);
     // Same page again: must allocate a fresh page, not reuse the
-    // freed one the memo named.
+    // freed one the memo and the directory named.
     m.write32(0x5004, 0x22222222);
     EXPECT_EQ(m.residentPages(), 1u);
     EXPECT_EQ(m.read32(0x5000), 0u);
@@ -209,6 +210,93 @@ TEST(MainMemory, PagesVisitedInPlaceAndZeroTest)
     v[3] = 1;
     EXPECT_FALSE(isZeroPage(v));
     EXPECT_TRUE(isZeroPage({}));
+}
+
+TEST(MainMemory, DirectoryCoversPageZeroAndTheTopPage)
+{
+    MainMemory m;
+    EXPECT_EQ(m.read32(0x0), 0u);
+    EXPECT_EQ(m.pageGenPtr(0x0), nullptr);
+    EXPECT_EQ(m.pageGenPtr(0xFFFFF000u), nullptr);
+    EXPECT_EQ(m.residentPages(), 0u); // reads never allocate
+
+    m.write32(0x0, 0x01020304);
+    m.write32(0xFFFFFFFCu, 0xa1b2c3d4);
+    m.write8(0xFFFFF000u, 0x5a);
+    EXPECT_EQ(m.read32(0x0), 0x01020304u);
+    EXPECT_EQ(m.read32(0xFFFFFFFCu), 0xa1b2c3d4u);
+    EXPECT_EQ(m.read8(0xFFFFF000u), 0x5au);
+    EXPECT_EQ(m.residentPages(), 2u);
+    EXPECT_NE(m.pageGenPtr(0x0), nullptr);
+    EXPECT_NE(m.pageGenPtr(0xFFFFFFFFu), nullptr);
+    const auto span = m.residentSpan();
+    EXPECT_EQ(span.first, 0u);
+    EXPECT_EQ(span.second, uint64_t(1) << 32);
+    m.write8(0x00345000u, 1); // written last, visited in the middle
+    std::vector<uint32_t> visited;
+    m.forEachPage([&](uint32_t pn, auto) { visited.push_back(pn); });
+    EXPECT_EQ(visited, (std::vector<uint32_t>{0x0, 0x345, 0xFFFFF}));
+
+    // Neighbours in the same leaf stay absent.
+    EXPECT_EQ(m.pageGenPtr(0x1000), nullptr);
+    EXPECT_EQ(m.pageGenPtr(0xFFFFE000u), nullptr);
+    EXPECT_EQ(m.read32(0xFFFFEFFCu), 0u);
+}
+
+TEST(MainMemory, UnalignedReadAcrossAPageBoundary)
+{
+    MainMemory m;
+    m.write8(0x1FFE, 0x11);
+    m.write8(0x1FFF, 0x22);
+    m.write8(0x2000, 0x33);
+    m.write8(0x2001, 0x44);
+    EXPECT_EQ(m.read32(0x1FFE), 0x44332211u);
+    EXPECT_EQ(m.read16(0x1FFF), 0x3322u);
+    m.write32(0x2FFD, 0xddccbbaa); // three bytes in page 2, one in 3
+    EXPECT_EQ(m.read32(0x2FFD), 0xddccbbaau);
+    EXPECT_EQ(m.read8(0x3000), 0xddu);
+    EXPECT_EQ(m.read8(0x3001), 0u);
+
+    // Half the word on a page that is not resident reads as zero, and
+    // the edges of a directory leaf (256 KiB) and of a mid node
+    // (16 MiB) are page edges like any other.
+    EXPECT_EQ(m.read32(0x4FFE), 0u);
+    for (const uint32_t edge : {0x40000u, 0x1000000u}) {
+        m.write16(edge - 2, 0xbeef);
+        EXPECT_EQ(m.read32(edge - 2), 0x0000beefu);
+        m.write16(edge, 0xcafe);
+        EXPECT_EQ(m.read32(edge - 2), 0xcafebeefu);
+    }
+
+    // The top of the address space wraps to page 0.
+    m.write8(0xFFFFFFFFu, 0x99);
+    m.write8(0x0, 0x77);
+    EXPECT_EQ(m.read16(0xFFFFFFFFu), 0x7799u);
+}
+
+TEST(MainMemory, PageGenPtrIsStableWhileThePageLives)
+{
+    MainMemory m;
+    m.write8(0x10000, 1);
+    const uint64_t *gen = m.pageGenPtr(0x10000);
+    ASSERT_NE(gen, nullptr);
+    // Fill pages across many leaves and two mid nodes: the pointer
+    // must not move.
+    for (uint32_t pn = 0; pn < 600; ++pn)
+        m.write8(pn * 0x1000u * 7u + 0x20000u, uint8_t(pn));
+    EXPECT_EQ(m.pageGenPtr(0x10000), gen);
+    EXPECT_EQ(m.pageGenPtr(0x10FFF), gen);
+    const uint64_t before = *gen;
+    m.write8(0x10800, 2);
+    EXPECT_GT(*gen, before);
+
+    // Moving the memory moves its pages, not their addresses.
+    MainMemory n(std::move(m));
+    EXPECT_EQ(n.pageGenPtr(0x10000), gen);
+    // NOLINTBEGIN(bugprone-use-after-move): moved-from means empty.
+    EXPECT_EQ(m.pageGenPtr(0x10000), nullptr);
+    EXPECT_EQ(m.read8(0x10800), 0u);
+    // NOLINTEND(bugprone-use-after-move)
 }
 
 TEST(Cache, HitsAndMisses)
@@ -303,6 +391,47 @@ TEST(Cache, BadGeometryRejected)
                  mesa::FatalError);
     EXPECT_THROW((Cache("t", CacheParams{1024, 0, 64, 1})),
                  mesa::FatalError);
+    // Three sets of four 64-byte ways: not a power of two.
+    EXPECT_THROW((Cache("t", CacheParams{768, 4, 64, 1})),
+                 mesa::FatalError);
+    EXPECT_NO_THROW((Cache("t", CacheParams{1024, 4, 64, 1})));
+}
+
+TEST(Cache, DefaultGeometriesMapSetsAndTags)
+{
+    // Line number modulo the set count picks the set; the rest is the
+    // tag. assoc + 1 lines one set-span apart share a set, so the
+    // last evicts the first; the next line over is another set.
+    const HierarchyParams defaults;
+    for (const CacheParams &p : {defaults.l1, defaults.l2}) {
+        Cache c("t", p);
+        const size_t sets = p.size_bytes / p.line_bytes / p.assoc;
+        ASSERT_EQ(c.numSets(), sets);
+        const uint32_t span = uint32_t(sets * p.line_bytes);
+        const uint32_t base = 0x40 + 5 * uint32_t(p.line_bytes);
+        // Same tag, set s + sets/2: every set-index bit takes part.
+        EXPECT_FALSE(c.access(base, false));
+        EXPECT_FALSE(c.probe(base + span / 2));
+        c.flush();
+        for (uint32_t w = 0; w <= p.assoc; ++w)
+            EXPECT_FALSE(c.access(base + w * span, false));
+        EXPECT_FALSE(c.probe(base));
+        for (uint32_t w = 1; w <= p.assoc; ++w)
+            EXPECT_TRUE(c.probe(base + w * span));
+        // Neighbouring sets and a same-set line of another tag.
+        EXPECT_FALSE(c.probe(base + uint32_t(p.line_bytes)));
+        EXPECT_FALSE(c.probe(base - uint32_t(p.line_bytes)));
+        EXPECT_FALSE(c.access(base + uint32_t(p.line_bytes), false));
+        EXPECT_TRUE(c.probe(base + span)); // other set, nothing evicted
+        // Every byte of a line hits the same set and tag.
+        EXPECT_TRUE(c.access(base + span + uint32_t(p.line_bytes) - 1,
+                             false));
+        // The top tag of the address space is a tag like any other.
+        const uint32_t top = 0xFFFFFFFFu - uint32_t(p.line_bytes) + 1;
+        EXPECT_FALSE(c.access(top, false));
+        EXPECT_TRUE(c.probe(0xFFFFFFFFu));
+        EXPECT_FALSE(c.probe(top - span));
+    }
 }
 
 TEST(Hierarchy, LatencyComposition)
@@ -431,12 +560,53 @@ TEST_F(LsuFixture, OlderLoadDoesNotForwardFromYoungerStore)
 TEST_F(LsuFixture, CommitInProgramOrder)
 {
     lsu.beginIteration();
-    // Two stores to the same address, issued out of order.
+    // Two stores to the same address; the older one is ready later.
+    lsu.store(3, 0x2000, 3, Op::Sw, 90);
     lsu.store(7, 0x2000, 7, Op::Sw, 50);
-    lsu.store(3, 0x2000, 3, Op::Sw, 90); // older but later-ready
     lsu.commitStores();
     // Program order: seq 3 then seq 7 -> final value is 7.
     EXPECT_EQ(memory.read32(0x2000), 7u);
+}
+
+TEST_F(LsuFixture, StoresArriveInProgramOrder)
+{
+    // The device loop buffers stores in seq order; commit relies on
+    // it, so an older (or repeated) seq after a younger one panics.
+    lsu.beginIteration();
+    lsu.store(7, 0x2000, 7, Op::Sw, 50);
+    EXPECT_THROW(lsu.store(3, 0x2000, 3, Op::Sw, 90), mesa::PanicError);
+    EXPECT_THROW(lsu.store(7, 0x2004, 7, Op::Sw, 50), mesa::PanicError);
+    // A new iteration starts a new order.
+    lsu.commitStores();
+    lsu.beginIteration();
+    EXPECT_NO_THROW(lsu.store(3, 0x2000, 3, Op::Sw, 90));
+}
+
+TEST_F(LsuFixture, OverlappingStoresCommitInProgramOrder)
+{
+    // One iteration, four stores over the bytes of one word, ready in
+    // the reverse of program order, then a store to another line.
+    // Default hierarchy: a cold write costs 2 + 18 + 120 cycles, a
+    // warm one 2.
+    lsu.beginIteration();
+    memory.write32(0x8000, 0x99999999);
+    lsu.store(1, 0x8000, 0x11223344, Op::Sw, 40);
+    lsu.store(2, 0x8001, 0xAA, Op::Sb, 30);
+    lsu.store(3, 0x8002, 0xBBCC, Op::Sh, 20);
+    lsu.store(4, 0x8003, 0xDD, Op::Sb, 10);
+    lsu.store(5, 0xA000, 0xEEEEEEEE, Op::Sw, 0);
+    // Before commit a load sees exactly its older stores.
+    EXPECT_EQ(lsu.peek(2, 0x8000, Op::Lw), 0x11223344u);
+    EXPECT_EQ(lsu.peek(4, 0x8000, Op::Lw), 0xBBCCAA44u);
+    EXPECT_EQ(lsu.peek(9, 0x8000, Op::Lw), 0xDDCCAA44u);
+    EXPECT_EQ(memory.read32(0x8000), 0x99999999u);
+
+    // In-order commit: seq 1 issues at 40 and each later store one
+    // cycle after its predecessor (41, 42, 43, 44), so the cold store
+    // to 0xA000 completes at 44 + 140.
+    EXPECT_EQ(lsu.commitStores(), 44u + 140u);
+    EXPECT_EQ(memory.read32(0x8000), 0xDDCCAA44u);
+    EXPECT_EQ(memory.read32(0xA000), 0xEEEEEEEEu);
 }
 
 TEST_F(LsuFixture, PeekAppliesOlderStores)
