@@ -3,13 +3,18 @@
  * Micro-benchmarks (google-benchmark): throughput of the simulator's
  * hot paths — instruction decode, functional emulation, LDFG
  * construction, the Algorithm 1 mapping pass, configuration
- * generation, and the accelerator iteration engine.
+ * generation, the accelerator iteration engine, and the per-cycle
+ * SlotPool on the request streams of the CPU model and the device
+ * loop.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "cpu/system.hh"
 #include "mesa/controller.hh"
+#include "util/slot_pool.hh"
 #include "workloads/kernel.hh"
 
 using namespace mesa;
@@ -119,6 +124,99 @@ BM_AcceleratorRun(benchmark::State &state)
     }
 }
 BENCHMARK(BM_AcceleratorRun);
+
+/** Fixed-seed xorshift64 for the SlotPool request streams. */
+struct XorShift
+{
+    uint64_t x;
+
+    uint64_t
+    operator()()
+    {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        return x;
+    }
+};
+
+/** Book every request of @p stream on a fresh pool, once per pass. */
+void
+replaySlotPool(benchmark::State &state, unsigned capacity,
+               const std::vector<uint64_t> &stream)
+{
+    for (auto _ : state) {
+        SlotPool pool(capacity);
+        for (const uint64_t ready : stream)
+            benchmark::DoNotOptimize(pool.acquire(ready));
+    }
+    state.SetItemsProcessed(int64_t(state.iterations()) *
+                            int64_t(stream.size()));
+}
+
+/**
+ * The OoO core's functional-unit traffic on the Fig. 11/14 cells:
+ * measured frontier - ready is about 34% ahead of the frontier, 17%
+ * at it, 17% 1-63 cycles behind, 29% 64-1023 behind and 2% 1k-16k
+ * behind.
+ */
+void
+BM_SlotPoolCpuStream(benchmark::State &state)
+{
+    static const std::vector<uint64_t> stream = [] {
+        XorShift next{0x3243f6a8885a308dull};
+        std::vector<uint64_t> s;
+        uint64_t frontier = 0;
+        for (int i = 0; i < 1'000'000; ++i) {
+            const uint64_t roll = next() % 100;
+            uint64_t back = 0;
+            if (roll < 34)
+                frontier += 1 + next() % 4;
+            else if (roll < 51)
+                back = 0;
+            else if (roll < 68)
+                back = 1 + next() % 63;
+            else if (roll < 98)
+                back = 64 + next() % 960;
+            else
+                back = 1'024 + next() % 15'360;
+            s.push_back(frontier > back ? frontier - back : 0);
+        }
+        return s;
+    }();
+    replaySlotPool(state, 2, stream);
+}
+BENCHMARK(BM_SlotPoolCpuStream);
+
+/**
+ * A device-loop memory port on hang injections: normal traffic at
+ * or just behind the frontier, then a hung iteration that holds one
+ * ready cycle until the watchdog fires, filling a 16384-cycle span
+ * at two ports. About 10% of the requests are held ones; most of
+ * those wait 4k-16k cycles.
+ */
+void
+BM_SlotPoolSaturatedSpan(benchmark::State &state)
+{
+    static const std::vector<uint64_t> stream = [] {
+        XorShift next{0x13198a2e03707344ull};
+        std::vector<uint64_t> s;
+        uint64_t frontier = 64;
+        while (s.size() < 1'000'000) {
+            for (int i = 0; i < 300'000; ++i) {
+                frontier += next() % 3;
+                s.push_back(frontier - next() % 64);
+            }
+            const uint64_t held = frontier;
+            for (int i = 0; i < 32'768; ++i)
+                s.push_back(held);
+            frontier += 16'384;
+        }
+        return s;
+    }();
+    replaySlotPool(state, 2, stream);
+}
+BENCHMARK(BM_SlotPoolSaturatedSpan);
 
 } // namespace
 

@@ -18,6 +18,16 @@
 namespace mesa::riscv
 {
 
+/** RV32F's canonical quiet NaN: every NaN an F op computes is this. */
+constexpr uint32_t CanonicalNan = 0x7FC00000u;
+
+/** Raw bits of an F op's result, with any NaN made canonical. */
+inline uint32_t
+fresultBits(float v)
+{
+    return std::isnan(v) ? CanonicalNan : std::bit_cast<uint32_t>(v);
+}
+
 /**
  * RV32F fmin.s (@p want_max false) / fmax.s on raw bits: -0 orders
  * below +0, a single NaN operand yields the other operand, and two
@@ -29,7 +39,7 @@ fminmaxBits(uint32_t a, uint32_t b, bool want_max)
     const float fa = std::bit_cast<float>(a);
     const float fb = std::bit_cast<float>(b);
     if (std::isnan(fa))
-        return std::isnan(fb) ? 0x7FC00000u : b; // canonical quiet NaN
+        return std::isnan(fb) ? CanonicalNan : b;
     if (std::isnan(fb))
         return a;
     if (fa == fb) {
@@ -56,7 +66,6 @@ aluEval(Op op, uint32_t a, uint32_t b, int32_t imm, uint32_t pc)
     const int32_t sb = int32_t(b);
     const float fa = std::bit_cast<float>(a);
     const float fb = std::bit_cast<float>(b);
-    auto fbits = [](float v) { return std::bit_cast<uint32_t>(v); };
 
     switch (op) {
       case Op::Lui: return uint32_t(imm);
@@ -105,11 +114,11 @@ aluEval(Op op, uint32_t a, uint32_t b, int32_t imm, uint32_t pc)
         return uint32_t(sa % sb);
       case Op::Remu: return b == 0 ? a : a % b;
 
-      case Op::FaddS: return fbits(fa + fb);
-      case Op::FsubS: return fbits(fa - fb);
-      case Op::FmulS: return fbits(fa * fb);
-      case Op::FdivS: return fbits(fa / fb);
-      case Op::FsqrtS: return fbits(std::sqrt(fa));
+      case Op::FaddS: return fresultBits(fa + fb);
+      case Op::FsubS: return fresultBits(fa - fb);
+      case Op::FmulS: return fresultBits(fa * fb);
+      case Op::FdivS: return fresultBits(fa / fb);
+      case Op::FsqrtS: return fresultBits(std::sqrt(fa));
       case Op::FminS: return fminmaxBits(a, b, false);
       case Op::FmaxS: return fminmaxBits(a, b, true);
       case Op::FsgnjS: return (a & 0x7FFFFFFFu) | (b & 0x80000000u);
@@ -118,8 +127,8 @@ aluEval(Op op, uint32_t a, uint32_t b, int32_t imm, uint32_t pc)
       case Op::FmvXW:
       case Op::FmvWX:
         return a;
-      case Op::FcvtSW: return fbits(float(sa));
-      case Op::FcvtSWu: return fbits(float(a));
+      case Op::FcvtSW: return fresultBits(float(sa));
+      case Op::FcvtSWu: return fresultBits(float(a));
       // RV32F saturates out-of-range inputs; NaN converts as +inf.
       case Op::FcvtWS:
         if (std::isnan(fa) || fa >= 0x1p31f)
@@ -139,6 +148,27 @@ aluEval(Op op, uint32_t a, uint32_t b, int32_t imm, uint32_t pc)
 
       default:
         panic("aluEval: op ", opName(op), " is not an ALU operation");
+    }
+}
+
+/**
+ * Evaluate an R4-type fused multiply-add (fmadd/fmsub/fnmsub/fnmadd.s)
+ * on raw operand bits: one rounding of +-(a * b) +- c, as RV32F
+ * requires, and a canonical NaN result.
+ */
+inline uint32_t
+fusedEval(Op op, uint32_t a, uint32_t b, uint32_t c)
+{
+    const float fa = std::bit_cast<float>(a);
+    const float fb = std::bit_cast<float>(b);
+    const float fc = std::bit_cast<float>(c);
+    switch (op) {
+      case Op::FmaddS: return fresultBits(std::fma(fa, fb, fc));
+      case Op::FmsubS: return fresultBits(std::fma(fa, fb, -fc));
+      case Op::FnmsubS: return fresultBits(std::fma(-fa, fb, fc));
+      case Op::FnmaddS: return fresultBits(std::fma(-fa, fb, -fc));
+      default:
+        panic("fusedEval: op ", opName(op), " is not a fused op");
     }
 }
 

@@ -214,19 +214,7 @@ Emulator::execute(const Instruction &in)
 
       default:
         if (props.num_sources == 3) {
-            // R4-type fused multiply-add family.
-            const float fa = std::bit_cast<float>(a);
-            const float fb = std::bit_cast<float>(b);
-            const float fc = std::bit_cast<float>(f[in.rs3]);
-            float r = 0.0f;
-            switch (in.op) {
-              case Op::FmaddS: r = fa * fb + fc; break;
-              case Op::FmsubS: r = fa * fb - fc; break;
-              case Op::FnmsubS: r = -(fa * fb) + fc; break;
-              case Op::FnmaddS: r = -(fa * fb) - fc; break;
-              default: panic("Emulator: bad fused op");
-            }
-            writeResult(std::bit_cast<uint32_t>(r));
+            writeResult(fusedEval(in.op, a, b, f[in.rs3]));
             break;
         }
         writeResult(aluEval(in.op, a, b, in.imm, pc));

@@ -248,6 +248,103 @@ TEST(Emulator, MemoryAccessWidths)
     EXPECT_EQ(h.emu.x(a6), 0xFFFFFFFEu);
 }
 
+/** Run one F op (two or three sources) on raw operand bits through
+ *  the emulator and return the raw result bits. */
+uint32_t
+emulateFp(Op op, uint32_t a, uint32_t b, uint32_t c, bool decode_cache)
+{
+    Assembler as;
+    as.li(a0, int32_t(a));
+    as.li(a1, int32_t(b));
+    as.li(a2, int32_t(c));
+    as.fmv_w_x(ft0, a0);
+    as.fmv_w_x(ft1, a1);
+    as.fmv_w_x(ft2, a2);
+    switch (op) {
+      case Op::FaddS: as.fadd_s(ft3, ft0, ft1); break;
+      case Op::FsubS: as.fsub_s(ft3, ft0, ft1); break;
+      case Op::FmulS: as.fmul_s(ft3, ft0, ft1); break;
+      case Op::FdivS: as.fdiv_s(ft3, ft0, ft1); break;
+      case Op::FsqrtS: as.fsqrt_s(ft3, ft0); break;
+      case Op::FmaddS: as.fmadd_s(ft3, ft0, ft1, ft2); break;
+      case Op::FmsubS: as.fmsub_s(ft3, ft0, ft1, ft2); break;
+      case Op::FnmsubS: as.fnmsub_s(ft3, ft0, ft1, ft2); break;
+      case Op::FnmaddS: as.fnmadd_s(ft3, ft0, ft1, ft2); break;
+      default: ADD_FAILURE() << "no row form for " << opName(op);
+    }
+    as.fmv_x_w(a3, ft3);
+    as.ecall();
+    Harness h;
+    h.emu.setDecodeCache(decode_cache);
+    h.run(as);
+    return h.emu.x(a3);
+}
+
+TEST(Emulator, FusedMultiplyAddRoundsOnce)
+{
+    // a = b = 1 + 2^-12, so a * b = 1 + 2^-11 + 2^-24 exactly. Rounded
+    // on its own the product loses the 2^-24 (a tie, to even), and
+    // adding -(1 + 2^-11) gives 0; one rounding of the whole sum keeps
+    // it. Each op below computes +-2^-24.
+    struct Row
+    {
+        Op op;
+        uint32_t c, want;
+    };
+    const uint32_t ab = 0x3f800800u;     // 1 + 2^-12
+    const uint32_t pos_c = 0x3f801000u;  // 1 + 2^-11
+    const uint32_t neg_c = 0xbf801000u;  // -(1 + 2^-11)
+    const Row rows[] = {
+        {Op::FmaddS, neg_c, 0x33800000u},  // a*b + c = 2^-24
+        {Op::FmsubS, pos_c, 0x33800000u},  // a*b - c = 2^-24
+        {Op::FnmsubS, pos_c, 0xb3800000u}, // -(a*b) + c = -2^-24
+        {Op::FnmaddS, neg_c, 0xb3800000u}, // -(a*b) - c = -2^-24
+    };
+    for (const Row &r : rows) {
+        SCOPED_TRACE(opName(r.op));
+        EXPECT_EQ(fusedEval(r.op, ab, ab, r.c), r.want);
+        for (const bool decode_cache : {true, false})
+            EXPECT_EQ(emulateFp(r.op, ab, ab, r.c, decode_cache), r.want);
+    }
+}
+
+TEST(Emulator, FpNanResultsAreCanonical)
+{
+    // RV32F: an F op that computes a NaN writes the canonical quiet
+    // NaN 0x7fc00000, whatever the operands' NaN payloads or signs
+    // (the host's default NaN is 0xffc00000, and it quiets an sNaN
+    // operand by keeping its payload).
+    struct Row
+    {
+        Op op;
+        uint32_t a, b, c;
+    };
+    const uint32_t one = 0x3f800000u, inf = 0x7f800000u;
+    const uint32_t snan = 0x7f800001u;
+    const Row rows[] = {
+        {Op::FsqrtS, 0xbf800000u, 0, 0},    // sqrt(-1)
+        {Op::FsubS, inf, inf, 0},           // inf - inf
+        {Op::FdivS, 0, 0, 0},               // 0 / 0
+        {Op::FaddS, snan, one, 0},          // sNaN + 1
+        {Op::FmulS, 0xffc12345u, one, 0},   // -NaN with payload * 1
+        {Op::FmaddS, inf, 0, one},          // inf * 0 + 1
+        {Op::FmsubS, snan, one, one},       // sNaN * 1 - 1
+        {Op::FnmsubS, inf, one, inf},       // -(inf * 1) + inf
+        {Op::FnmaddS, one, one, 0xffc00000u}, // -(1 * 1) - NaN
+    };
+    for (const Row &r : rows) {
+        SCOPED_TRACE(::testing::Message() << opName(r.op) << std::hex
+                                          << " " << r.a << ", " << r.b);
+        const uint32_t direct = opProps(r.op).num_sources == 3
+                                    ? fusedEval(r.op, r.a, r.b, r.c)
+                                    : aluEval(r.op, r.a, r.b, 0, 0);
+        EXPECT_EQ(direct, CanonicalNan);
+        for (const bool decode_cache : {true, false})
+            EXPECT_EQ(emulateFp(r.op, r.a, r.b, r.c, decode_cache),
+                      CanonicalNan);
+    }
+}
+
 TEST(Emulator, FloatingPoint)
 {
     Assembler as;

@@ -115,6 +115,15 @@ TEST(SlotPool, LongFullSpanStaysFast)
     SlotPool pool(2);
     for (uint64_t i = 0; i < 200'000; ++i)
         ASSERT_EQ(pool.acquire(seven), 7 + i / 2);
+    // The span [7, 100007) is now longer than the 65536-cycle window,
+    // so its low part sits in the spill log. Requests deep behind the
+    // span's end (ready <= 16384, so still no prune) start below the
+    // window and must cross the log's full cells through their skip
+    // links rather than one cycle at a time.
+    const uint64_t end = 7 + 100'000;
+    for (uint64_t i = 0; i < 100'000; ++i)
+        ASSERT_EQ(pool.acquire(seven + 1 + (i * 7919) % 16'000),
+                  end + i / 2);
 }
 
 /**
@@ -238,6 +247,158 @@ TEST(SlotPool, MatchesReferenceAcrossPrunes)
             }
         }
     }
+}
+
+/** A SlotPool and the oracle fed the same requests. */
+struct PoolAndReference
+{
+    explicit PoolAndReference(unsigned capacity)
+        : pool(capacity), ref(capacity)
+    {
+    }
+
+    void
+    check(uint64_t ready)
+    {
+        ASSERT_EQ(pool.acquire(ready), ref.acquire(ready))
+            << "ready " << ready;
+    }
+
+    void
+    reset()
+    {
+        pool.reset();
+        ref.reset();
+    }
+
+    SlotPool pool;
+    ReferenceSlotPool ref;
+};
+
+/** Fixed-seed xorshift64 for the request streams below. */
+struct XorShift
+{
+    uint64_t x;
+
+    uint64_t
+    operator()()
+    {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        return x;
+    }
+};
+
+TEST(SlotPool, MatchesReferenceBehindSaturatedSpan)
+{
+    // The device loop's shape on hang injections: a port saturated
+    // from one ready cycle until the watchdog fires, while the other
+    // requests land 4k-65k cycles behind the frontier. Both reach
+    // back across most of the window, and past 65536 booked cycles
+    // the held ready keeps the prune floor at 0.
+    for (const unsigned capacity : {1u, 2u}) {
+        SCOPED_TRACE(capacity);
+        PoolAndReference pools(capacity);
+        XorShift next{0x13198a2e03707344ull ^ capacity};
+        uint64_t frontier = 0;
+        for (int i = 0; i < 70'000; ++i) {
+            frontier += next() % 3;
+            ASSERT_NO_FATAL_FAILURE(pools.check(frontier));
+        }
+        const uint64_t held = 9'000;
+        for (int i = 0; i < 90'000; ++i) {
+            const uint64_t roll = next() % 4;
+            uint64_t ready = held;
+            if (roll == 1) {
+                ready = frontier - 4'096 - next() % 61'000;
+            } else if (roll > 1) {
+                frontier += next() % 2;
+                ready = frontier;
+            }
+            ASSERT_NO_FATAL_FAILURE(pools.check(ready));
+        }
+    }
+}
+
+TEST(SlotPool, MatchesReferenceBelowFarFutureSlide)
+{
+    // One far-future request slides the whole window past every
+    // booking, so the traffic that follows lands below the window:
+    // on cells in the spill log (full and not), and on unbooked
+    // cycles between them, which go to the table. The frontier then
+    // climbs back into the window.
+    PoolAndReference pools(3);
+    XorShift next{0xa4093822299f31d0ull};
+    uint64_t frontier = 1'000;
+    for (int i = 0; i < 60'000; ++i) {
+        frontier += next() % 2;
+        const uint64_t jitter = next() % 64;
+        ASSERT_NO_FATAL_FAILURE(pools.check(frontier - jitter));
+    }
+    ASSERT_NO_FATAL_FAILURE(pools.check(frontier + 250'000));
+    for (int i = 0; i < 60'000; ++i) {
+        frontier += next() % 8;
+        const uint64_t back = next() % 4 == 0 ? next() % 40'000 : 0;
+        ASSERT_NO_FATAL_FAILURE(pools.check(frontier - back));
+    }
+}
+
+TEST(SlotPool, MatchesReferenceAtPortCapacity)
+{
+    // The widest pool in use: PortPool on ideal_memory has 4096
+    // ports, so a cycle fills only after 4096 bookings and bursts
+    // spread over few cycles.
+    PoolAndReference pools(4096);
+    XorShift next{0x082efa98ec4e6c89ull};
+    uint64_t frontier = 0;
+    for (int i = 0; i < 200'000; ++i) {
+        if (next() % 1'000 == 0)
+            frontier += next() % 5'000;
+        const uint64_t roll = next() % 8;
+        uint64_t ready = frontier;
+        if (roll == 0)
+            ready = frontier + next() % 100'000;
+        else if (roll == 1)
+            ready = frontier > 70'000 ? frontier - next() % 70'000 : 0;
+        ASSERT_NO_FATAL_FAILURE(pools.check(ready));
+    }
+}
+
+TEST(SlotPool, MatchesReferenceAcrossResets)
+{
+    // reset() after the window has slid and spilled: the next
+    // request, far below the old window, must see an empty pool
+    // again, and so must every later one.
+    PoolAndReference pools(2);
+    XorShift next{0x452821e638d01377ull};
+    for (int round = 0; round < 4; ++round) {
+        SCOPED_TRACE(round);
+        uint64_t frontier = next() % 1'000;
+        const int steps = 40'000 + int(next() % 80'000);
+        for (int i = 0; i < steps; ++i) {
+            frontier += next() % 3;
+            const uint64_t roll = next() % 100;
+            uint64_t ready = frontier;
+            if (roll == 0)
+                ready = frontier + 70'000 + next() % 10'000;
+            else if (roll < 30)
+                ready = frontier > 100 ? frontier - next() % 100 : 0;
+            ASSERT_NO_FATAL_FAILURE(pools.check(ready));
+        }
+        pools.reset();
+    }
+}
+
+TEST(SlotPool, RejectsCapacityBeyondCountWidth)
+{
+    // Per-cycle counts are 16 bits; a larger capacity would wrap a
+    // count instead of marking its cycle full.
+    EXPECT_THROW(SlotPool pool(SlotPool::MaxCapacity + 1), FatalError);
+    SlotPool widest(SlotPool::MaxCapacity);
+    for (unsigned i = 0; i < SlotPool::MaxCapacity; ++i)
+        ASSERT_EQ(widest.acquire(5), 5u);
+    EXPECT_EQ(widest.acquire(5), 6u);
 }
 
 // ---------------------------------------------------------------------
