@@ -148,9 +148,9 @@ class Ldfg
 
     /**
      * Reassemble a graph from its serialized parts (the persistent
-     * translation store's deserializer). The caller is responsible
-     * for the parts being a build() result — no renaming or edge
-     * derivation is re-run here.
+     * translation store's deserializer). No renaming or edge
+     * derivation is re-run here; the store has already range-checked
+     * every node id and register in the parts.
      */
     static Ldfg
     fromParts(std::vector<LdfgNode> nodes, std::set<int> live_ins,

@@ -1,12 +1,16 @@
 #include "mesa/translation_store.hh"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <bit>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <map>
+#include <set>
+#include <type_traits>
 
 #include "util/archive.hh"
 #include "util/crc32.hh"
@@ -33,515 +37,327 @@ constexpr uint64_t MaxEntryBytes = 64u << 20;
  *  typically in the dozens; past this the memo simply restarts. */
 constexpr size_t MaxMemoEntries = 256;
 
-// ----- writers -----
+/** Largest placement grid an entry may claim. Real geometries are
+ *  orders of magnitude smaller; a larger one is garbage that would
+ *  otherwise size the Sdfg allocation. Tile and fold factors never
+ *  exceed it either. */
+constexpr int64_t MaxGridCells = 1 << 20;
 
-void
-putInst(BinaryWriter &w, const Instruction &inst)
+/** Fields a later stage uses as an index, by the range they index. */
+enum Index
 {
-    w.u32(uint32_t(inst.op));
-    w.u8(inst.rd);
-    w.u8(inst.rs1);
-    w.u8(inst.rs2);
-    w.u8(inst.rs3);
-    w.i32(inst.imm);
-    w.u32(inst.raw);
-    w.u32(inst.pc);
-}
+    Opcode, ///< riscv::Op, below NumOps.
+    RegNum, ///< Architectural register number of an instruction.
+    Reg,    ///< Unified register, or -1 for none.
+    Node,   ///< LDFG node id, or NoNode.
+    Factor, ///< Tile or fold factor, at least 1.
+};
 
-void
-putIdVec(BinaryWriter &w, const std::vector<dfg::NodeId> &v)
+/**
+ * The store's archives add to the plain field lists of util/archive.hh
+ * the fields a later stage uses as an index. The writer stores them as
+ * they are; the reader fails the stream on one outside its range and
+ * leaves it at the bottom of the range, so the steps after it stay in
+ * bounds. The field lists add the checks that span fields (the grid
+ * size, slot positions, Sdfg placements) on the reading side.
+ */
+class Writer : public BinaryWriter
 {
-    w.u64(v.size());
-    for (dfg::NodeId id : v)
-        w.i32(id);
-}
+  public:
+    using BinaryWriter::operator();
 
-void
-putIntMap(BinaryWriter &w, const std::map<int, int32_t> &m)
-{
-    w.u64(m.size());
-    for (const auto &[k, v] : m) {
-        w.i32(k);
-        w.i32(v);
+    template <class... T>
+    void
+    operator()(Index, const T &...v)
+    {
+        (*this)(v...);
     }
-}
+};
 
-void
-putLdfg(BinaryWriter &w, const dfg::Ldfg &g)
+class Reader : public BinaryReader
 {
-    w.u64(g.size());
-    for (const dfg::LdfgNode &n : g.nodes()) {
-        putInst(w, n.inst);
-        w.i32(n.id);
-        w.i32(n.src1);
-        w.i32(n.src2);
-        w.i32(n.live_in1);
-        w.i32(n.live_in2);
-        w.i32(n.prev_dest_writer);
-        w.i32(n.prev_dest_live_in);
-        putIdVec(w, n.guards);
-        putIdVec(w, n.consumers);
-        w.f64(n.op_latency);
-        w.f64(n.edge_lat1);
-        w.f64(n.edge_lat2);
+  public:
+    using BinaryReader::BinaryReader;
+    using BinaryReader::list;
+    using BinaryReader::operator();
+
+    template <class... T>
+    void
+    operator()(Index kind, T &...v)
+    {
+        (ranged(v, kind), ...);
     }
-    w.u64(g.liveIns().size());
-    for (int reg : g.liveIns())
-        w.i32(reg);
-    w.u64(g.writtenRegs().size());
-    for (int reg : g.writtenRegs())
-        w.i32(reg);
-    for (int reg = 0; reg < int(riscv::NumUnifiedRegs); ++reg)
-        w.i32(g.finalRename().lookup(reg));
-}
 
-void
-putMap(BinaryWriter &w, const MapResult &m)
-{
-    w.i32(m.sdfg.rows());
-    w.i32(m.sdfg.cols());
-    w.u64(m.sdfg.placedCount());
-    for (int r = 0; r < m.sdfg.rows(); ++r) {
-        for (int c = 0; c < m.sdfg.cols(); ++c) {
-            const dfg::NodeId id = m.sdfg.at({r, c});
-            if (id == dfg::NoNode)
-                continue;
-            w.i32(id);
-            w.i32(r);
-            w.i32(c);
+    /** The LDFG's node list: its length bounds every node id read
+     *  after its count. */
+    template <class Fn>
+    void
+    list(std::vector<dfg::LdfgNode> &nodes, size_t min_bytes, Fn fn)
+    {
+        // The base sizes the list before the first element.
+        BinaryReader::list(nodes, min_bytes, [&](dfg::LdfgNode &n) {
+            nodes_ = nodes.size();
+            fn(n);
+        });
+    }
+
+  private:
+    template <class T>
+    void
+    ranged(T &v, Index kind)
+    {
+        int64_t lo = 0;
+        int64_t hi = 0;
+        switch (kind) {
+          case Opcode: hi = int64_t(riscv::Op::NumOps); break;
+          case RegNum: hi = riscv::NumIntRegs; break;
+          case Reg: lo = -1; hi = riscv::NumUnifiedRegs; break;
+          case Node: lo = dfg::NoNode; hi = int64_t(nodes_); break;
+          case Factor: lo = 1; hi = MaxGridCells + 1; break;
         }
+        // Check the wire value: an enum conversion could wrap it.
+        std::conditional_t<std::is_enum_v<T>, uint32_t, T> raw{};
+        (*this)(raw);
+        const bool in = int64_t(raw) >= lo && int64_t(raw) < hi;
+        check(in);
+        v = T(in ? int64_t(raw) : lo);
     }
-    putIdVec(w, m.unmapped);
-    w.u64(m.completion.size());
-    for (double v : m.completion)
-        w.f64(v);
-    w.f64(m.model_latency);
-    w.u64(m.mapping_cycles);
-    w.u64(m.imap_trace.size());
-    for (const ImapTraceEntry &e : m.imap_trace) {
-        w.i32(e.instruction);
-        for (uint32_t cycles : e.stage_cycles)
-            w.u32(cycles);
-        w.u32(e.total);
-    }
+
+    size_t nodes_ = 0;
+};
+
+/** Hand a const object to a field list (the writer never mutates). */
+template <class T>
+T &
+mut(const T &v)
+{
+    return const_cast<T &>(v);
 }
 
+// ----- the field lists: one per persisted type, both directions -----
+
+template <class Ar>
 void
-putConfig(BinaryWriter &w, const accel::AcceleratorConfig &cfg)
+io(Ar &ar, Instruction &inst)
 {
-    w.u32(cfg.region_start);
-    w.u32(cfg.region_end);
-    w.u32(cfg.resume_pc);
-    w.i32(cfg.rows);
-    w.i32(cfg.cols);
-    w.u64(cfg.slots.size());
-    for (const accel::PeSlot &s : cfg.slots) {
-        w.i32(s.node);
-        putInst(w, s.inst);
-        w.i32(s.pos.r);
-        w.i32(s.pos.c);
-        w.i32(s.src1);
-        w.i32(s.src2);
-        w.i32(s.live_in1);
-        w.i32(s.live_in2);
-        putIdVec(w, s.guards);
-        w.i32(s.prev_dest_writer);
-        w.i32(s.prev_dest_live_in);
-        w.f64(s.op_latency);
-        w.i32(s.forward_from_store);
-        w.i32(s.vector_group);
-        w.boolean(s.vector_leader);
-        w.boolean(s.prefetch);
-        w.i32(s.prefetch_stride);
-    }
-    w.u64(cfg.live_ins.size());
-    for (int reg : cfg.live_ins)
-        w.i32(reg);
-    w.u64(cfg.live_outs.size());
-    for (const auto &[reg, node] : cfg.live_outs) {
-        w.i32(reg);
-        w.i32(node);
-    }
-    w.u64(cfg.inductions.size());
-    for (const dfg::InductionReg &ind : cfg.inductions) {
-        w.i32(ind.unified_reg);
-        w.i32(ind.update_node);
-        w.i32(ind.step);
-    }
-    w.u64(cfg.imm_overrides.size());
-    for (const auto &[node, imm] : cfg.imm_overrides) {
-        w.i32(node);
-        w.i32(imm);
-    }
-    w.u64(cfg.instances.size());
-    for (const accel::TileInstance &t : cfg.instances) {
-        w.i32(t.origin.r);
-        w.i32(t.origin.c);
-        putIntMap(w, t.reg_offsets);
-    }
-    w.boolean(cfg.pipelined);
-    w.i32(cfg.time_multiplex);
-    w.u64(cfg.config_words);
-    w.f64(cfg.model_latency);
-    w.u32(cfg.crc);
+    ar(Opcode, inst.op);
+    ar(RegNum, inst.rd, inst.rs1, inst.rs2, inst.rs3);
+    ar(inst.imm, inst.raw, inst.pc);
 }
 
+template <class Ar>
 void
-putCert(BinaryWriter &w, const absint::BodyCertificate &cert)
+io(Ar &ar, dfg::LdfgNode &n)
 {
-    w.u64(cert.nodes);
-    w.u64(cert.mem_nodes);
-    w.boolean(cert.converged);
-    w.i32(cert.fixpoint_rounds);
-    w.u64(cert.footprint.size());
-    for (const absint::FootprintEntry &f : cert.footprint) {
-        w.i32(f.node);
-        w.u32(f.pc);
-        w.u32(uint32_t(f.op));
-        w.boolean(f.is_store);
-        w.u8(f.size);
-        w.boolean(f.known);
-        w.i32(f.base);
-        w.i64(f.lo);
-        w.i64(f.hi);
-        w.i64(f.step);
-        w.i64(f.stride_mod);
-        w.i64(f.stride_rem);
-    }
-    const absint::TripBound &t = cert.trip;
-    w.boolean(t.valid);
-    w.u32(uint32_t(t.op));
-    w.boolean(t.ind_is_lhs);
-    w.i32(t.ind_base);
-    w.i64(t.first);
-    w.i64(t.step);
-    w.i32(t.bound_base);
-    w.i64(t.bound_off);
-    w.u64(cert.per_iter_cycle_bound);
+    io(ar, n.inst);
+    ar(Node, n.id, n.src1, n.src2);
+    ar(Reg, n.live_in1, n.live_in2);
+    ar(Node, n.prev_dest_writer);
+    ar(Reg, n.prev_dest_live_in);
+    ar.list(n.guards, 4, [&](auto &id) { ar(Node, id); });
+    ar.list(n.consumers, 4, [&](auto &id) { ar(Node, id); });
+    ar(n.op_latency, n.edge_lat1, n.edge_lat2);
 }
 
+/** The graph keeps its parts private: they are written in place and
+ *  read into locals that fromParts() reassembles. */
+template <class Ar>
 void
-putPrepared(BinaryWriter &w, const PreparedRegion &prep)
+io(Ar &ar, dfg::Ldfg &g)
 {
-    putLdfg(w, prep.ldfg);
-    putMap(w, prep.map);
-    putConfig(w, prep.config);
-    const ConfigOptions &o = prep.options;
-    w.boolean(o.enable_forwarding);
-    w.boolean(o.enable_vectorization);
-    w.boolean(o.enable_prefetch);
-    w.i32(o.tile_factor);
-    w.boolean(o.pipelined);
-    w.i32(o.time_multiplex);
-    putIntMap(w, o.live_in_adjustments);
-    w.u32(o.resume_pc);
-    w.u64(prep.encode_cycles);
-    w.i32(prep.max_tiles);
-    w.u32(prep.body_tag);
-    w.boolean(prep.cert != nullptr);
-    if (prep.cert)
-        putCert(w, *prep.cert);
-}
+    std::vector<dfg::LdfgNode> read_nodes;
+    std::set<int> read_live_ins, read_written;
+    auto &nodes = Ar::Reading ? read_nodes : mut(g.nodes());
+    auto &live_ins = Ar::Reading ? read_live_ins : mut(g.liveIns());
+    auto &written = Ar::Reading ? read_written : mut(g.writtenRegs());
+    std::array<dfg::NodeId, riscv::NumUnifiedRegs> rename;
+    for (int reg = 0; reg < riscv::NumUnifiedRegs; ++reg)
+        rename[size_t(reg)] = g.finalRename().lookup(reg);
 
-// ----- readers (every count validated against remaining bytes) -----
+    // A serialized node takes at least 88 bytes.
+    ar.list(nodes, 88, [&](dfg::LdfgNode &n) { io(ar, n); });
+    ar.list(live_ins, 4, [&](auto &reg) { ar(Reg, reg); });
+    ar.list(written, 4, [&](auto &reg) { ar(Reg, reg); });
+    for (dfg::NodeId &id : rename)
+        ar(Node, id);
 
-bool
-getCount(BinaryReader &r, size_t min_elem, size_t &out)
-{
-    const uint64_t n = r.u64();
-    if (!r.ok() || n > r.remaining() / min_elem)
-        return false;
-    out = size_t(n);
-    return true;
-}
-
-Instruction
-getInst(BinaryReader &r)
-{
-    Instruction inst;
-    inst.op = riscv::Op(r.u32());
-    inst.rd = r.u8();
-    inst.rs1 = r.u8();
-    inst.rs2 = r.u8();
-    inst.rs3 = r.u8();
-    inst.imm = r.i32();
-    inst.raw = r.u32();
-    inst.pc = r.u32();
-    return inst;
-}
-
-bool
-getIdVec(BinaryReader &r, std::vector<dfg::NodeId> &out)
-{
-    size_t n = 0;
-    if (!getCount(r, 4, n))
-        return false;
-    out.resize(n);
-    for (size_t i = 0; i < n; ++i)
-        out[i] = r.i32();
-    return r.ok();
-}
-
-bool
-getIntMap(BinaryReader &r, std::map<int, int32_t> &out)
-{
-    size_t n = 0;
-    if (!getCount(r, 8, n))
-        return false;
-    for (size_t i = 0; i < n; ++i) {
-        const int k = r.i32();
-        out[k] = r.i32();
+    if constexpr (Ar::Reading) {
+        dfg::RenameTable table;
+        for (int reg = 0; reg < riscv::NumUnifiedRegs; ++reg)
+            table.update(reg, rename[size_t(reg)]);
+        g = dfg::Ldfg::fromParts(std::move(nodes), std::move(live_ins),
+                                 std::move(written), table);
     }
-    return r.ok();
 }
 
-bool
-getIntSet(BinaryReader &r, std::set<int> &out)
+/** Sparse: the dimensions, then (node, row, col) per occupied cell in
+ *  row-major order. */
+template <class Ar>
+void
+io(Ar &ar, dfg::Sdfg &g)
 {
-    size_t n = 0;
-    if (!getCount(r, 4, n))
-        return false;
-    for (size_t i = 0; i < n; ++i)
-        out.insert(r.i32());
-    return r.ok();
-}
-
-bool
-getLdfg(BinaryReader &r, dfg::Ldfg &out)
-{
-    size_t n = 0;
-    if (!getCount(r, 16, n))
-        return false;
-    std::vector<dfg::LdfgNode> nodes(n);
-    for (dfg::LdfgNode &node : nodes) {
-        node.inst = getInst(r);
-        node.id = r.i32();
-        node.src1 = r.i32();
-        node.src2 = r.i32();
-        node.live_in1 = r.i32();
-        node.live_in2 = r.i32();
-        node.prev_dest_writer = r.i32();
-        node.prev_dest_live_in = r.i32();
-        if (!getIdVec(r, node.guards) ||
-            !getIdVec(r, node.consumers))
-            return false;
-        node.op_latency = r.f64();
-        node.edge_lat1 = r.f64();
-        node.edge_lat2 = r.f64();
+    int rows = g.rows();
+    int cols = g.cols();
+    ar(rows, cols);
+    std::vector<std::pair<dfg::NodeId, ic::Coord>> cells;
+    if constexpr (Ar::Reading) {
+        ar.check(rows >= 0 && cols >= 0 &&
+                 int64_t(rows) * cols <= MaxGridCells);
+        g = ar.ok() ? dfg::Sdfg(rows, cols) : dfg::Sdfg();
+    } else {
+        for (int r = 0; r < rows; ++r)
+            for (int c = 0; c < cols; ++c)
+                if (g.at({r, c}) != dfg::NoNode)
+                    cells.push_back({g.at({r, c}), {r, c}});
     }
-    std::set<int> live_ins, written;
-    if (!getIntSet(r, live_ins) || !getIntSet(r, written))
-        return false;
-    dfg::RenameTable rename;
-    for (int reg = 0; reg < int(riscv::NumUnifiedRegs); ++reg)
-        rename.update(reg, r.i32());
-    if (!r.ok())
-        return false;
-    out = dfg::Ldfg::fromParts(std::move(nodes), std::move(live_ins),
-                               std::move(written), rename);
-    return true;
+    ar.list(cells, 12, [&](auto &cell) {
+        ar(Node, cell.first);
+        ar(cell.second.r, cell.second.c);
+        if constexpr (Ar::Reading)
+            ar.check(cell.first != dfg::NoNode &&
+                     g.place(cell.first, cell.second));
+    });
 }
 
-bool
-getMap(BinaryReader &r, MapResult &out)
+template <class Ar>
+void
+io(Ar &ar, MapResult &m)
 {
-    const int rows = r.i32();
-    const int cols = r.i32();
-    if (!r.ok() || rows < 0 || cols < 0 || rows > (1 << 16) ||
-        cols > (1 << 16))
-        return false;
-    out.sdfg = dfg::Sdfg(rows, cols);
-    size_t placed = 0;
-    if (!getCount(r, 12, placed))
-        return false;
-    for (size_t i = 0; i < placed; ++i) {
-        const dfg::NodeId id = r.i32();
-        const int pr = r.i32();
-        const int pc = r.i32();
-        if (!r.ok() || id < 0 || !out.sdfg.place(id, {pr, pc}))
-            return false;
-    }
-    if (!getIdVec(r, out.unmapped))
-        return false;
-    size_t n = 0;
-    if (!getCount(r, 8, n))
-        return false;
-    out.completion.resize(n);
-    for (size_t i = 0; i < n; ++i)
-        out.completion[i] = r.f64();
-    out.model_latency = r.f64();
-    out.mapping_cycles = r.u64();
-    if (!getCount(r, 8, n))
-        return false;
-    out.imap_trace.resize(n);
-    for (ImapTraceEntry &e : out.imap_trace) {
-        e.instruction = r.i32();
+    io(ar, m.sdfg);
+    ar.list(m.unmapped, 4, [&](auto &id) { ar(Node, id); });
+    ar.list(m.completion, 8, [&](auto &v) { ar(v); });
+    ar(m.model_latency, m.mapping_cycles);
+    ar.list(m.imap_trace, 8, [&](ImapTraceEntry &e) {
+        ar(e.instruction);
         for (uint32_t &cycles : e.stage_cycles)
-            cycles = r.u32();
-        e.total = r.u32();
-    }
-    return r.ok();
+            ar(cycles);
+        ar(e.total);
+    });
 }
 
-bool
-getConfig(BinaryReader &r, accel::AcceleratorConfig &cfg)
-{
-    cfg.region_start = r.u32();
-    cfg.region_end = r.u32();
-    cfg.resume_pc = r.u32();
-    cfg.rows = r.i32();
-    cfg.cols = r.i32();
-    size_t n = 0;
-    if (!getCount(r, 32, n))
-        return false;
-    cfg.slots.resize(n);
-    for (accel::PeSlot &s : cfg.slots) {
-        s.node = r.i32();
-        s.inst = getInst(r);
-        s.pos.r = r.i32();
-        s.pos.c = r.i32();
-        s.src1 = r.i32();
-        s.src2 = r.i32();
-        s.live_in1 = r.i32();
-        s.live_in2 = r.i32();
-        if (!getIdVec(r, s.guards))
-            return false;
-        s.prev_dest_writer = r.i32();
-        s.prev_dest_live_in = r.i32();
-        s.op_latency = r.f64();
-        s.forward_from_store = r.i32();
-        s.vector_group = r.i32();
-        s.vector_leader = r.boolean();
-        s.prefetch = r.boolean();
-        s.prefetch_stride = r.i32();
-    }
-    if (!getIntSet(r, cfg.live_ins))
-        return false;
-    if (!getCount(r, 8, n))
-        return false;
-    for (size_t i = 0; i < n; ++i) {
-        const int reg = r.i32();
-        cfg.live_outs[reg] = r.i32();
-    }
-    if (!getCount(r, 12, n))
-        return false;
-    cfg.inductions.resize(n);
-    for (dfg::InductionReg &ind : cfg.inductions) {
-        ind.unified_reg = r.i32();
-        ind.update_node = r.i32();
-        ind.step = r.i32();
-    }
-    if (!getCount(r, 8, n))
-        return false;
-    for (size_t i = 0; i < n; ++i) {
-        const dfg::NodeId node = r.i32();
-        cfg.imm_overrides[node] = r.i32();
-    }
-    if (!getCount(r, 16, n))
-        return false;
-    cfg.instances.resize(n);
-    for (accel::TileInstance &t : cfg.instances) {
-        t.origin.r = r.i32();
-        t.origin.c = r.i32();
-        if (!getIntMap(r, t.reg_offsets))
-            return false;
-    }
-    cfg.pipelined = r.boolean();
-    cfg.time_multiplex = r.i32();
-    cfg.config_words = size_t(r.u64());
-    cfg.model_latency = r.f64();
-    cfg.crc = r.u32();
-    return r.ok();
-}
-
-bool
-getCert(BinaryReader &r, absint::BodyCertificate &cert)
-{
-    cert.nodes = size_t(r.u64());
-    cert.mem_nodes = size_t(r.u64());
-    cert.converged = r.boolean();
-    cert.fixpoint_rounds = r.i32();
-    size_t n = 0;
-    if (!getCount(r, 32, n))
-        return false;
-    cert.footprint.resize(n);
-    for (absint::FootprintEntry &f : cert.footprint) {
-        f.node = r.i32();
-        f.pc = r.u32();
-        f.op = riscv::Op(r.u32());
-        f.is_store = r.boolean();
-        f.size = r.u8();
-        f.known = r.boolean();
-        f.base = r.i32();
-        f.lo = r.i64();
-        f.hi = r.i64();
-        f.step = r.i64();
-        f.stride_mod = r.i64();
-        f.stride_rem = r.i64();
-    }
-    absint::TripBound &t = cert.trip;
-    t.valid = r.boolean();
-    t.op = riscv::Op(r.u32());
-    t.ind_is_lhs = r.boolean();
-    t.ind_base = r.i32();
-    t.first = r.i64();
-    t.step = r.i64();
-    t.bound_base = r.i32();
-    t.bound_off = r.i64();
-    cert.per_iter_cycle_bound = r.u64();
-    return r.ok();
-}
-
-bool
-getPrepared(BinaryReader &r, PreparedRegion &prep)
-{
-    if (!getLdfg(r, prep.ldfg) || !getMap(r, prep.map) ||
-        !getConfig(r, prep.config))
-        return false;
-    ConfigOptions &o = prep.options;
-    o.enable_forwarding = r.boolean();
-    o.enable_vectorization = r.boolean();
-    o.enable_prefetch = r.boolean();
-    o.tile_factor = r.i32();
-    o.pipelined = r.boolean();
-    o.time_multiplex = r.i32();
-    if (!getIntMap(r, o.live_in_adjustments))
-        return false;
-    o.resume_pc = r.u32();
-    prep.encode_cycles = r.u64();
-    prep.max_tiles = r.i32();
-    prep.body_tag = r.u32();
-    const bool has_cert = r.boolean();
-    if (has_cert) {
-        auto cert = std::make_shared<absint::BodyCertificate>();
-        if (!getCert(r, *cert))
-            return false;
-        prep.cert = std::move(cert);
-    }
-    return r.ok();
-}
-
+template <class Ar>
 void
-putKey(BinaryWriter &w, const TranslationKey &key)
+io(Ar &ar, accel::AcceleratorConfig &cfg)
 {
-    w.u32(key.region_start);
-    w.u32(key.region_end);
-    w.u32(key.body_tag);
-    w.u32(key.params_crc);
-    w.u32(key.blocked_crc);
-    w.boolean(key.parallel_hint);
+    ar(cfg.region_start, cfg.region_end, cfg.resume_pc);
+    ar(cfg.rows, cfg.cols);
+    // A serialized slot takes at least 86 bytes.
+    ar.list(cfg.slots, 86, [&](accel::PeSlot &s) {
+        ar(Node, s.node);
+        io(ar, s.inst);
+        ar(s.pos.r, s.pos.c);
+        if constexpr (Ar::Reading) // unplaced, or a cell of the grid
+            ar.check(s.pos == ic::Coord{} ||
+                     (s.pos.r >= 0 && s.pos.r < cfg.rows && s.pos.c >= 0 &&
+                      s.pos.c < cfg.cols));
+        ar(Node, s.src1, s.src2);
+        ar(Reg, s.live_in1, s.live_in2);
+        ar.list(s.guards, 4, [&](auto &id) { ar(Node, id); });
+        ar(Node, s.prev_dest_writer);
+        ar(Reg, s.prev_dest_live_in);
+        ar(s.op_latency);
+        ar(Node, s.forward_from_store);
+        ar(s.vector_group, s.vector_leader, s.prefetch, s.prefetch_stride);
+    });
+    ar.list(cfg.live_ins, 4, [&](auto &reg) { ar(Reg, reg); });
+    ar.list(cfg.live_outs, 8, [&](auto &kv) {
+        ar(Reg, kv.first);
+        ar(Node, kv.second);
+    });
+    ar.list(cfg.inductions, 12, [&](dfg::InductionReg &ind) {
+        ar(Reg, ind.unified_reg);
+        ar(Node, ind.update_node);
+        ar(ind.step);
+    });
+    ar.list(cfg.imm_overrides, 8, [&](auto &kv) {
+        ar(Node, kv.first);
+        ar(kv.second);
+    });
+    ar.list(cfg.instances, 16, [&](accel::TileInstance &t) {
+        ar(t.origin.r, t.origin.c);
+        ar.list(t.reg_offsets, 8, [&](auto &kv) {
+            ar(Reg, kv.first);
+            ar(kv.second);
+        });
+    });
+    ar(cfg.pipelined);
+    ar(Factor, cfg.time_multiplex);
+    ar(cfg.config_words, cfg.model_latency, cfg.crc);
 }
 
-bool
-keyMatches(BinaryReader &r, const TranslationKey &key)
+template <class Ar>
+void
+io(Ar &ar, absint::BodyCertificate &cert)
 {
-    const bool match = r.u32() == key.region_start &&
-                       r.u32() == key.region_end &&
-                       r.u32() == key.body_tag &&
-                       r.u32() == key.params_crc &&
-                       r.u32() == key.blocked_crc &&
-                       r.boolean() == key.parallel_hint;
-    return match && r.ok();
+    ar(cert.nodes, cert.mem_nodes, cert.converged, cert.fixpoint_rounds);
+    ar.list(cert.footprint, 32, [&](absint::FootprintEntry &f) {
+        ar(Node, f.node);
+        ar(f.pc);
+        ar(Opcode, f.op);
+        ar(f.is_store, f.size, f.known);
+        ar(Reg, f.base);
+        ar(f.lo, f.hi, f.step, f.stride_mod, f.stride_rem);
+    });
+    absint::TripBound &t = cert.trip;
+    ar(t.valid);
+    ar(Opcode, t.op);
+    ar(t.ind_is_lhs);
+    ar(Reg, t.ind_base);
+    ar(t.first, t.step);
+    ar(Reg, t.bound_base);
+    ar(t.bound_off, cert.per_iter_cycle_bound);
+}
+
+template <class Ar>
+void
+io(Ar &ar, PreparedRegion &prep)
+{
+    io(ar, prep.ldfg);
+    io(ar, prep.map);
+    io(ar, prep.config);
+    ConfigOptions &o = prep.options;
+    ar(o.enable_forwarding, o.enable_vectorization, o.enable_prefetch);
+    ar(Factor, o.tile_factor);
+    ar(o.pipelined);
+    ar(Factor, o.time_multiplex);
+    ar.list(o.live_in_adjustments, 8, [&](auto &kv) {
+        ar(Reg, kv.first);
+        ar(kv.second);
+    });
+    ar(o.resume_pc, prep.encode_cycles);
+    ar(Factor, prep.max_tiles);
+    ar(prep.body_tag);
+    // The certificate is optional: a presence flag, then its fields.
+    bool has_cert = prep.cert != nullptr;
+    ar(has_cert);
+    if (!has_cert)
+        return;
+    if constexpr (Ar::Reading) {
+        auto cert = std::make_shared<absint::BodyCertificate>();
+        io(ar, *cert);
+        prep.cert = std::move(cert);
+    } else {
+        io(ar, mut(*prep.cert));
+    }
+}
+
+template <class Ar>
+void
+io(Ar &ar, TranslationKey &key)
+{
+    ar(key.region_start, key.region_end, key.body_tag, key.params_crc,
+       key.blocked_crc, key.parallel_hint);
+}
+
+/** An entry's fixed prefix: magic, version, and the key it is stored
+ *  under. load() compares a file's prefix with it byte for byte. */
+Writer
+header(const TranslationKey &key)
+{
+    Writer w;
+    w(StoreMagic, StoreVersion);
+    io(w, mut(key));
+    return w;
 }
 
 /** Unique temp-file suffix per writer (atomic publish via rename). */
@@ -675,28 +491,34 @@ TranslationStore::load(const TranslationKey &key,
         return PersistOutcome::Miss;
     std::string bytes((std::istreambuf_iterator<char>(f)),
                       std::istreambuf_iterator<char>());
-    // Header (magic + version + key echo) + whole-file CRC minimum.
-    constexpr size_t MinBytes = 4 + 4 + 21 + 4;
-    if (!f.good() || bytes.size() < MinBytes ||
+    const std::string head = header(key).data();
+    if (!f.good() || bytes.size() < head.size() + 4 ||
         bytes.size() > MaxEntryBytes)
         return PersistOutcome::Corrupt;
 
     // Whole-file CRC over everything before the trailing CRC word.
     const size_t body_len = bytes.size() - 4;
+    uint32_t stored_crc = 0;
     BinaryReader tail(bytes.data() + body_len, 4);
-    if (crc32(bytes.data(), body_len) != tail.u32())
+    tail(stored_crc);
+    if (crc32(bytes.data(), body_len) != stored_crc)
         return PersistOutcome::Corrupt;
 
-    BinaryReader r(bytes.data(), body_len);
-    if (r.u32() != StoreMagic)
+    // The prefix field holding the first differing byte decides.
+    const size_t differ = size_t(
+        std::mismatch(head.begin(), head.end(), bytes.begin()).first -
+        head.begin());
+    if (differ < sizeof(StoreMagic))
         return PersistOutcome::Corrupt;
-    if (r.u32() != StoreVersion)
+    if (differ < sizeof(StoreMagic) + sizeof(StoreVersion))
         return PersistOutcome::VersionSkew;
-    if (!keyMatches(r, key))
+    if (differ < head.size())
         return PersistOutcome::KeyMismatch;
 
+    Reader r(bytes.data() + head.size(), body_len - head.size());
     PreparedRegion prep;
-    if (!getPrepared(r, prep) || r.remaining() != 0)
+    io(r, prep);
+    if (!r.ok() || r.remaining() != 0)
         return PersistOutcome::Corrupt;
     // Belt and braces: the config's own semantic CRC must re-derive,
     // the same gate the controller applies before streaming. A wrong
@@ -723,12 +545,10 @@ TranslationStore::store(const TranslationKey &key,
     if (!enabled())
         return PersistOutcome::Disabled;
 
-    BinaryWriter w;
-    w.u32(StoreMagic);
-    w.u32(StoreVersion);
-    putKey(w, key);
-    putPrepared(w, prep);
-    const uint32_t crc = crc32(w.data().data(), w.size());
+    Writer w = header(key);
+    io(w, mut(prep));
+    w(crc32(w.data().data(), w.data().size())); // whole-file CRC
+    const std::string &bytes = w.data();
 
     const std::string path = entryPath(key);
     const std::string tmp =
@@ -738,10 +558,7 @@ TranslationStore::store(const TranslationKey &key,
         std::ofstream f(tmp, std::ios::binary | std::ios::trunc);
         if (!f)
             return PersistOutcome::StoreFailed;
-        f.write(w.data().data(), std::streamsize(w.size()));
-        const char tail[4] = {char(crc), char(crc >> 8),
-                              char(crc >> 16), char(crc >> 24)};
-        f.write(tail, 4);
+        f.write(bytes.data(), std::streamsize(bytes.size()));
         if (!f.good())
             return PersistOutcome::StoreFailed;
     }

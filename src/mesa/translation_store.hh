@@ -20,10 +20,12 @@
  * blocked-set changes can never serve a stale translation.
  *
  * Integrity: every file carries a magic, a format version, an echo of
- * its key, and a whole-file CRC-32. A truncated, bit-flipped,
- * version-skewed, or misnamed file is ignored (counted, never
- * trusted) and the region is translated cold — after which the entry
- * is rewritten, self-healing the store. Writes go to a temp file
+ * its key, and a whole-file CRC-32. One field list per type writes and
+ * reads it, and the reader range-checks every count and index. A
+ * truncated, bit-flipped, version-skewed, misnamed or out-of-range
+ * file is ignored (counted, never trusted) and the region is
+ * translated cold — after which the entry is rewritten, self-healing
+ * the store. Writes go to a temp file
  * followed by an atomic rename, so concurrent writers (campaign
  * shards) and crashed runs never publish a partial entry.
  *

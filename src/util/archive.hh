@@ -1,17 +1,20 @@
 /**
  * @file
  * Minimal binary archive: a byte-appending writer and a bounds-checked
- * reader used by the persistent translation store to serialize
- * translated regions. The encoding is explicit little-endian with
- * doubles carried as IEEE-754 bit patterns, so files written on one
- * host parse identically on any other and byte-compare across runs.
+ * reader with the same call shape, so one field list (a template over
+ * the archive) serves both directions. The persistent translation
+ * store builds its entry format on them.
  *
- * The reader is fail-sticky: any read past the end sets a sticky
- * error flag and returns zero, so deserializers can run a straight-
- * line sequence of reads and test ok() once at the end instead of
- * checking every call. Container counts must still be validated
- * against remaining() before reserving memory (see readCount in the
- * translation store) so a corrupt length cannot drive an allocation.
+ * Fields go by type, explicit little-endian: bool as one byte, enums
+ * as u32, other integers by width, doubles as IEEE-754 bit patterns.
+ * Files written on one host parse identically on any other and
+ * byte-compare across runs.
+ *
+ * The reader is fail-sticky: any read past the end, any container
+ * count larger than the bytes left could hold, and any failed check()
+ * sets a sticky error flag. Failed reads return zero and later counts
+ * read as zero, so a field list runs straight through without
+ * allocating from a corrupt length and the caller tests ok() once.
  */
 
 #ifndef MESA_UTIL_ARCHIVE_HH
@@ -21,45 +24,73 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <type_traits>
+#include <utility>
 
 namespace mesa
 {
+
+namespace detail
+{
+
+/** What BinaryReader::list decodes one set or map element into. */
+template <class C>
+struct Decoded
+{
+    using type = typename C::value_type;
+};
+
+template <class C>
+    requires requires { typename C::mapped_type; }
+struct Decoded<C>
+{
+    using type = std::pair<typename C::key_type, typename C::mapped_type>;
+};
+
+} // namespace detail
 
 /** Append-only little-endian byte stream. */
 class BinaryWriter
 {
   public:
+    static constexpr bool Reading = false;
+
+    /** Append plain fields in order. */
+    template <class... T>
     void
-    u8(uint8_t v)
+    operator()(const T &...v)
     {
-        data_.push_back(char(v));
+        (put(v), ...);
     }
 
+    /** A container: its length, then @p fn on each element. */
+    template <class C, class Fn>
     void
-    u32(uint32_t v)
+    list(C &c, size_t /* min_bytes */, Fn fn)
     {
-        u8(uint8_t(v));
-        u8(uint8_t(v >> 8));
-        u8(uint8_t(v >> 16));
-        u8(uint8_t(v >> 24));
+        put(uint64_t(c.size()));
+        for (auto &e : c)
+            fn(e);
     }
-
-    void
-    u64(uint64_t v)
-    {
-        u32(uint32_t(v));
-        u32(uint32_t(v >> 32));
-    }
-
-    void i32(int32_t v) { u32(uint32_t(v)); }
-    void i64(int64_t v) { u64(uint64_t(v)); }
-    void f64(double v) { u64(std::bit_cast<uint64_t>(v)); }
-    void boolean(bool v) { u8(v ? 1 : 0); }
 
     const std::string &data() const { return data_; }
-    size_t size() const { return data_.size(); }
 
   private:
+    template <class T>
+    void
+    put(const T &v)
+    {
+        if constexpr (std::is_same_v<T, bool>)
+            put(uint8_t(v ? 1 : 0));
+        else if constexpr (std::is_floating_point_v<T>)
+            put(std::bit_cast<uint64_t>(v));
+        else if constexpr (std::is_enum_v<T>)
+            put(uint32_t(v));
+        else
+            for (size_t i = 0; i < sizeof(T); ++i)
+                data_.push_back(char(uint64_t(v) >> (8 * i)));
+    }
+
     std::string data_;
 };
 
@@ -67,53 +98,88 @@ class BinaryWriter
 class BinaryReader
 {
   public:
+    static constexpr bool Reading = true;
+
     BinaryReader(const void *data, size_t size)
         : data_(static_cast<const uint8_t *>(data)), size_(size)
     {}
 
-    uint8_t
-    u8()
+    /** Read plain fields in order. */
+    template <class... T>
+    void
+    operator()(T &...v)
     {
-        if (pos_ + 1 > size_) {
+        (get(v), ...);
+    }
+
+    /**
+     * A container: its length, refused (read as 0, stream failed) when
+     * @p min_bytes per element would overrun the bytes left, then
+     * @p fn on each element. Set and map elements are decoded into a
+     * temporary and inserted.
+     */
+    template <class C, class Fn>
+    void
+    list(C &c, size_t min_bytes, Fn fn)
+    {
+        uint64_t n = 0;
+        get(n);
+        if (n > remaining() / min_bytes) {
             fail_ = true;
-            return 0;
+            n = 0;
         }
-        return data_[pos_++];
-    }
-
-    uint32_t
-    u32()
-    {
-        if (pos_ + 4 > size_) {
-            fail_ = true;
-            pos_ = size_;
-            return 0;
+        if constexpr (requires { c.resize(n); }) {
+            c.resize(n);
+            for (auto &e : c)
+                fn(e);
+        } else {
+            for (uint64_t i = 0; i < n; ++i) {
+                typename detail::Decoded<C>::type e{};
+                fn(e);
+                c.insert(std::move(e));
+            }
         }
-        uint32_t v = 0;
-        std::memcpy(&v, data_ + pos_, 4);
-        pos_ += 4;
-        if constexpr (std::endian::native == std::endian::big)
-            v = __builtin_bswap32(v);
-        return v;
     }
 
-    uint64_t
-    u64()
-    {
-        const uint64_t lo = u32();
-        const uint64_t hi = u32();
-        return lo | (hi << 32);
-    }
-
-    int32_t i32() { return int32_t(u32()); }
-    int64_t i64() { return int64_t(u64()); }
-    double f64() { return std::bit_cast<double>(u64()); }
-    bool boolean() { return u8() != 0; }
+    /** Fail the stream unless @p cond holds. */
+    void check(bool cond) { fail_ |= !cond; }
 
     bool ok() const { return !fail_; }
-    size_t remaining() const { return size_ - pos_; }
+    size_t remaining() const { return fail_ ? 0 : size_ - pos_; }
 
   private:
+    template <class T>
+    void
+    get(T &v)
+    {
+        if constexpr (std::is_same_v<T, bool>) {
+            uint8_t b = 0;
+            get(b);
+            v = b != 0;
+        } else if constexpr (std::is_floating_point_v<T>) {
+            uint64_t bits = 0;
+            get(bits);
+            v = std::bit_cast<T>(bits);
+        } else if constexpr (std::is_enum_v<T>) {
+            uint32_t raw = 0;
+            get(raw);
+            v = T(raw);
+        } else {
+            std::make_unsigned_t<T> x = 0;
+            fail_ |= remaining() < sizeof(T);
+            if (!fail_) {
+                if constexpr (std::endian::native == std::endian::little) {
+                    std::memcpy(&x, data_ + pos_, sizeof(T));
+                } else {
+                    for (size_t i = 0; i < sizeof(T); ++i)
+                        x |= decltype(x)(data_[pos_ + i]) << (8 * i);
+                }
+                pos_ += sizeof(T);
+            }
+            v = T(x);
+        }
+    }
+
     const uint8_t *data_;
     size_t size_;
     size_t pos_ = 0;

@@ -5,7 +5,8 @@
  * reports back (mesa_prof --baseline, BENCH_history.jsonl, heatmap
  * round-trip tests) without an external dependency. It parses the
  * full JSON grammar the writer emits; \uXXXX escapes outside ASCII
- * are preserved as '?' since no report uses them.
+ * are preserved as '?' since no report uses them. Nesting deeper than
+ * MaxJsonDepth is rejected, so a hostile file cannot overflow the stack.
  */
 
 #ifndef MESA_UTIL_JSON_PARSE_HH
@@ -62,6 +63,10 @@ struct JsonValue
     }
 };
 
+/** Deepest array/object nesting parseJson accepts; JsonWriter output
+ *  nests a few levels. */
+constexpr int MaxJsonDepth = 256;
+
 namespace detail
 {
 
@@ -74,7 +79,7 @@ class JsonParser
     parse()
     {
         JsonValue v;
-        if (!parseValue(v))
+        if (!parseValue(v, 0))
             return std::nullopt;
         skipSpace();
         if (pos_ != text_.size())
@@ -101,16 +106,18 @@ class JsonParser
         return true;
     }
 
+    /** @param depth arrays and objects enclosing the value */
     bool
-    parseValue(JsonValue &out)
+    parseValue(JsonValue &out, int depth)
     {
         skipSpace();
         if (pos_ >= text_.size())
             return false;
         char c = text_[pos_];
+        const bool room = depth < MaxJsonDepth;
         switch (c) {
-          case '{': return parseObject(out);
-          case '[': return parseArray(out);
+          case '{': return room && parseObject(out, depth + 1);
+          case '[': return room && parseArray(out, depth + 1);
           case '"': {
             out.type = JsonValue::Type::String;
             return parseString(out.str);
@@ -131,7 +138,7 @@ class JsonParser
     }
 
     bool
-    parseObject(JsonValue &out)
+    parseObject(JsonValue &out, int depth)
     {
         out.type = JsonValue::Type::Object;
         ++pos_; // '{'
@@ -150,7 +157,7 @@ class JsonParser
                 return false;
             ++pos_;
             JsonValue v;
-            if (!parseValue(v))
+            if (!parseValue(v, depth))
                 return false;
             out.members.emplace(std::move(key), std::move(v));
             skipSpace();
@@ -169,7 +176,7 @@ class JsonParser
     }
 
     bool
-    parseArray(JsonValue &out)
+    parseArray(JsonValue &out, int depth)
     {
         out.type = JsonValue::Type::Array;
         ++pos_; // '['
@@ -180,7 +187,7 @@ class JsonParser
         }
         while (true) {
             JsonValue v;
-            if (!parseValue(v))
+            if (!parseValue(v, depth))
                 return false;
             out.items.push_back(std::move(v));
             skipSpace();

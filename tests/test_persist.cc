@@ -3,9 +3,10 @@
  * Persistent translation-store tests: warm starts from disk must be
  * indistinguishable from cold translation (state, memory, offload
  * stats), and every corruption mode — truncation, flipped bytes,
- * version skew, key mismatch — must fall back to cold translation
- * with the right mesa.cache.persist_* counter bumped, never serve a
- * wrong config.
+ * version skew, key mismatch, an index out of range behind a valid
+ * CRC — must fall back to cold translation with the right
+ * mesa.cache.persist_* counter bumped, never serve a wrong config. A
+ * seeded mutation pass checks that the loader fails closed.
  */
 
 #include <gtest/gtest.h>
@@ -13,10 +14,15 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <unistd.h>
 
+#include "interconnect/interconnect.hh"
+#include "mesa/translate.hh"
 #include "mesa/translation_store.hh"
+#include "util/archive.hh"
 #include "util/crc32.hh"
+#include "util/rng.hh"
 #include "util/stats_registry.hh"
 
 #include "helpers.hh"
@@ -156,8 +162,91 @@ class PersistTest : public ::testing::Test
         bytes[bytes.size() - 1] = char(crc >> 24);
     }
 
+    /** Overwrite the i32 at @p offset (from the end when negative) of
+     *  the only entry, refreshing its CRC, and expect the next run to
+     *  reject the entry as corrupt and translate cold, exactly as
+     *  before. */
+    void
+    expectIndexRejected(const workloads::Kernel &kernel,
+                        const core::MesaParams &params, ptrdiff_t offset,
+                        int32_t value)
+    {
+        enableStore();
+        const PersistRun cold = runOnce(kernel, params);
+        const auto files = cacheFiles();
+        ASSERT_EQ(files.size(), 1u);
+        std::string bytes = readFile(files[0]);
+        const size_t at = offset >= 0 ? size_t(offset)
+                                      : bytes.size() - size_t(-offset);
+        ASSERT_LT(at + 4, bytes.size());
+        for (size_t i = 0; i < 4; ++i)
+            bytes[at + i] = char(uint32_t(value) >> (8 * i));
+        refreshCrc(bytes);
+        writeFile(files[0], bytes);
+
+        const PersistRun recovered = runOnce(kernel, params);
+        expectSameRun(cold.run, recovered.run);
+        EXPECT_EQ(recovered.stats.at("mesa.cache.persist_corrupt"), 1.0);
+        EXPECT_EQ(recovered.stats.at("mesa.cache.persist_hits"), 0.0);
+    }
+
     fs::path dir_;
 };
+
+// Field offsets in a format-1 entry: magic, version and the 21-byte
+// key echo, then the LDFG's u64 node count and its first node (an
+// instruction of 20 bytes — op first — then the node id and src1).
+constexpr ptrdiff_t HeaderBytes = 4 + 4 + 21;
+constexpr ptrdiff_t FirstNodeOp = HeaderBytes + 8;
+constexpr ptrdiff_t FirstNodeSrc1 = FirstNodeOp + 20 + 4;
+// A certificate ends the entry: trip.ind_base, first (8), step (8),
+// bound_base (4), bound_off (8), per_iter_cycle_bound (8), then the
+// 4-byte file CRC.
+constexpr ptrdiff_t IndBase = -(4 + 8 + 8 + 4 + 8 + 8 + 4);
+
+/** The key an entry file echoes in its header. */
+core::TranslationKey
+keyOf(const std::string &bytes)
+{
+    core::TranslationKey key;
+    BinaryReader in(bytes.data() + 8, bytes.size() - 8);
+    in(key.region_start, key.region_end, key.body_tag, key.params_crc,
+       key.blocked_crc, key.parallel_hint);
+    return key;
+}
+
+/** Store @p kernel's loop translated around @p blocked PEs, as a
+ *  relocation after a self test would, and return its key. */
+core::TranslationKey
+storeAroundBlocked(const workloads::Kernel &kernel,
+                   const std::vector<ic::Coord> &blocked)
+{
+    const core::MesaParams params;
+    const auto body = kernel.loopBody();
+    const ic::AccelNocInterconnect noc(params.accel.rows, params.accel.cols,
+                                       params.accel.noc_slice_width);
+    core::TranslatePolicy policy = params.translatePolicy(kernel.parallel);
+    policy.blocked = blocked;
+    auto tr = core::translate(body, params.accel, noc, policy);
+    EXPECT_TRUE(tr.has_value());
+    core::PreparedRegion prep;
+    if (tr)
+        static_cast<core::Translation &>(prep) = std::move(*tr);
+    const uint32_t start = body.front().pc;
+    const uint32_t end = body.back().pc + 4;
+    prep.body_tag = core::bodyCrc(body);
+    prep.config = prep.lower(core::ConfigBlock(params.accel), start, end);
+    const core::TranslationKey key{
+        .region_start = start,
+        .region_end = end,
+        .body_tag = prep.body_tag,
+        .params_crc = core::paramsFingerprint(params),
+        .blocked_crc = core::blockedPeDigest(blocked),
+        .parallel_hint = kernel.parallel};
+    EXPECT_EQ(core::TranslationStore::global().store(key, prep),
+              core::PersistOutcome::Stored);
+    return key;
+}
 
 TEST_F(PersistTest, WarmRunMatchesColdAndUncached)
 {
@@ -328,6 +417,119 @@ TEST_F(PersistTest, ParamsFingerprintSeesPrepareRelevantKnobs)
     core::MesaParams unroll = base;
     unroll.unroll_factor += 1;
     EXPECT_NE(core::paramsFingerprint(unroll), fp);
+}
+
+// An index that a later stage dereferences must be range-checked at
+// load time. The config's semantic CRC does not cover the LDFG or the
+// certificate, so a file tampered there with a refreshed whole-file
+// CRC reaches the field checks.
+
+TEST_F(PersistTest, CertificateRegisterOutOfRangeIsCorrupt)
+{
+    // absint::instantiate reads the induction register's value, so
+    // ind_base 200 would index past the 64 unified registers.
+    core::MesaParams params;
+    params.fault.enabled = true;
+    params.fault.certificate_gating = true;
+    expectIndexRejected(workloads::makeNn(256), params, IndBase, 200);
+}
+
+TEST_F(PersistTest, LdfgSourcePastNodeCountIsCorrupt)
+{
+    expectIndexRejected(workloads::makeNn(256), core::MesaParams{},
+                        FirstNodeSrc1, 1'000'000);
+}
+
+TEST_F(PersistTest, OpPastNumOpsIsCorrupt)
+{
+    expectIndexRejected(workloads::makeNn(256), core::MesaParams{},
+                        FirstNodeOp, int32_t(riscv::Op::NumOps));
+}
+
+TEST_F(PersistTest, MutatedEntriesFailClosed)
+{
+    enableStore();
+    // Real entries: certified (fault mode, certificate gating), tiled
+    // (nn on the default array), folded (srad on M-64) and mapped
+    // around blocked PEs.
+    core::MesaParams certified;
+    certified.fault.enabled = true;
+    certified.fault.certificate_gating = true;
+    runOnce(workloads::makeNn(256), certified);
+    runOnce(workloads::makeNn(256), core::MesaParams{});
+    core::MesaParams m64;
+    m64.accel = accel::AccelParams::byName("M-64");
+    m64.enable_time_multiplexing = true;
+    runOnce(workloads::makeSrad(256), m64);
+    storeAroundBlocked(workloads::makeHotspot(256), {{0, 0}, {1, 2}});
+
+    auto &store = core::TranslationStore::global();
+    std::vector<std::string> entries;
+    bool saw_cert = false, saw_tiles = false, saw_fold = false,
+         saw_blocked = false;
+    for (const fs::path &path : cacheFiles()) {
+        entries.push_back(readFile(path));
+        const core::TranslationKey key = keyOf(entries.back());
+        core::PreparedRegion prep;
+        store.setDirectory(dir_.string()); // drop the memo: read disk
+        ASSERT_EQ(store.load(key, prep), core::PersistOutcome::Hit)
+            << path;
+        saw_cert |= prep.cert != nullptr;
+        saw_tiles |= prep.config.tileCount() > 1;
+        saw_fold |= prep.config.time_multiplex > 1;
+        saw_blocked |= key.blocked_crc != core::blockedPeDigest({});
+    }
+    ASSERT_EQ(entries.size(), 4u);
+    EXPECT_TRUE(saw_cert && saw_tiles && saw_fold && saw_blocked);
+
+    SplitMix64 rng(22);
+    std::map<core::PersistOutcome, int> outcomes;
+    for (const std::string &entry : entries) {
+        const core::TranslationKey key = keyOf(entry);
+        const fs::path path = store.entryPath(key);
+        // u64 fields holding small values: mostly container counts.
+        std::vector<size_t> small_u64;
+        for (size_t at = HeaderBytes; at + 8 <= entry.size() - 4; ++at) {
+            uint64_t v = 0;
+            BinaryReader(entry.data() + at, 8)(v);
+            if (v > 0 && v < 4096)
+                small_u64.push_back(at);
+        }
+        for (int i = 0; i < 300; ++i) {
+            std::string m = entry;
+            const size_t at = rng.below(m.size() - 4);
+            switch (rng.below(3)) {
+              case 0: // bit flips
+                for (uint64_t n = rng.range(1, 3); n > 0; --n) {
+                    const size_t flip = rng.below(m.size() - 4);
+                    m[flip] = char(m[flip] ^ (1 << rng.below(8)));
+                }
+                break;
+              case 1: // truncation
+                m.resize(at + 4);
+                break;
+              default: { // an inflated count
+                const size_t c = small_u64[rng.below(small_u64.size())];
+                const uint64_t big = uint64_t(1) << rng.range(12, 63);
+                for (size_t b = 0; b < 8; ++b)
+                    m[c + b] = char(big >> (8 * b));
+                break;
+              }
+            }
+            refreshCrc(m);
+            writeFile(path, m);
+            store.setDirectory(dir_.string());
+            core::PreparedRegion prep;
+            const core::PersistOutcome outcome = store.load(key, prep);
+            EXPECT_NE(outcome, core::PersistOutcome::Miss);
+            ++outcomes[outcome];
+        }
+        writeFile(path, entry);
+    }
+    // Most mutations are refused. Those that leave every field in
+    // range still load; loading them must not crash either.
+    EXPECT_GT(outcomes[core::PersistOutcome::Corrupt], 600);
+    EXPECT_GT(outcomes[core::PersistOutcome::Hit], 0);
 }
 
 } // namespace

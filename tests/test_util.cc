@@ -1,14 +1,16 @@
 /**
  * @file
  * Utility-layer tests: SlotPool per-cycle capacity semantics, the
- * slicing-by-8 CRC-32 against a one-byte reference, stats primitives, the matrix helper, the text table printer, and the
- * logging error types.
+ * slicing-by-8 CRC-32 against a one-byte reference, stats primitives, the matrix helper, the text table printer, the
+ * JSON reader under hostile input, and the logging error types.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <fstream>
+#include <iterator>
 #include <limits>
 #include <sstream>
 #include <unordered_map>
@@ -17,8 +19,10 @@
 #include "util/crc32.hh"
 #include "util/debug.hh"
 #include "util/json.hh"
+#include "util/json_parse.hh"
 #include "util/logging.hh"
 #include "util/matrix.hh"
+#include "util/rng.hh"
 #include "util/slot_pool.hh"
 #include "util/stats.hh"
 #include "util/table.hh"
@@ -756,6 +760,69 @@ TEST(JsonWriter, EmptyContainersAndSiblingCommas)
         .end();
     EXPECT_EQ(w.str(),
               "{\"empty_obj\":{},\"empty_arr\":[],\"after\":1}");
+}
+
+// ---------------------------------------------------------------------
+// JSON reader: it parses files from disk, so hostile input must fail
+// cleanly.
+// ---------------------------------------------------------------------
+
+TEST(JsonParse, NestingPastTheCapIsRejected)
+{
+    const auto arrays = [](int depth) {
+        return std::string(size_t(depth), '[') +
+               std::string(size_t(depth), ']');
+    };
+    EXPECT_TRUE(parseJson(arrays(MaxJsonDepth)).has_value());
+    EXPECT_FALSE(parseJson(arrays(MaxJsonDepth + 1)).has_value());
+
+    std::string objects;
+    for (int i = 0; i <= MaxJsonDepth; ++i)
+        objects += "{\"k\":";
+    objects += "0" + std::string(size_t(MaxJsonDepth) + 1, '}');
+    EXPECT_FALSE(parseJson(objects).has_value());
+
+    // Unbounded recursion overflowed an 8 MiB stack on this input.
+    EXPECT_FALSE(parseJson(std::string(1'000'000, '[')).has_value());
+}
+
+TEST(JsonParse, MutatedProfBaselineFailsCleanly)
+{
+    std::ifstream f(std::string(MESA_SOURCE_DIR) +
+                    "/baselines/mesa_prof_baseline.json");
+    ASSERT_TRUE(f);
+    const std::string text((std::istreambuf_iterator<char>(f)),
+                           std::istreambuf_iterator<char>());
+    const auto doc = parseJson(text);
+    ASSERT_TRUE(doc && doc->isObject());
+
+    SplitMix64 rng(22);
+    const std::string structural = "{}[]\",:\\0-e.";
+    constexpr int Mutations = 250;
+    int parsed = 0;
+    for (int i = 0; i < Mutations; ++i) {
+        std::string m = text;
+        const size_t at = rng.below(m.size());
+        switch (rng.below(4)) {
+          case 0: // bit flip
+            m[at] = char(m[at] ^ (1 << rng.below(8)));
+            break;
+          case 1: // a byte the grammar cares about
+            m[at] = structural[rng.below(structural.size())];
+            break;
+          case 2: // truncation
+            m.resize(at);
+            break;
+          default: // a deep run of openers
+            m.insert(at, size_t(rng.range(1, 2 * MaxJsonDepth)), '[');
+            break;
+        }
+        const auto out = parseJson(m);
+        parsed += out.has_value();
+    }
+    // Flips inside strings and numbers still parse; the rest fail.
+    EXPECT_GT(parsed, 0);
+    EXPECT_LT(parsed, Mutations);
 }
 
 // ---------------------------------------------------------------------
