@@ -109,6 +109,7 @@ BM_AcceleratorRun(benchmark::State &state)
 {
     core::MesaParams params;
     params.iterative_optimization = false;
+    int64_t iterations = 0;
     for (auto _ : state) {
         mem::MainMemory memory;
         kernel().init_data(memory);
@@ -120,10 +121,47 @@ BM_AcceleratorRun(benchmark::State &state)
         auto os = mesa.offloadLoop(kernel().loopBody(), emu.state(),
                                    true);
         benchmark::DoNotOptimize(os->accel_cycles);
-        state.SetItemsProcessed(int64_t(os->accel_iterations));
+        iterations += int64_t(os->accel_iterations);
     }
+    state.SetItemsProcessed(iterations);
 }
 BENCHMARK(BM_AcceleratorRun);
+
+/**
+ * The fault campaign's dominant shape: the same offload with the
+ * closing branch stuck taken from iteration 0, so the fabric spins
+ * until a 50k-cycle device watchdog cuts it off.
+ */
+void
+BM_AcceleratorRunHung(benchmark::State &state)
+{
+    core::MesaParams params;
+    params.iterative_optimization = false;
+    params.accel.watchdog_cycles = 50'000;
+    accel::FaultPlane hang;
+    hang.stuck_branches.push_back({0});
+    int64_t iterations = 0;
+    for (auto _ : state) {
+        mem::MainMemory memory;
+        kernel().init_data(memory);
+        cpu::loadProgram(memory, kernel().program);
+        core::MesaController mesa(params, memory);
+        mesa.accelerator().injectFaults(hang);
+        riscv::Emulator emu(memory);
+        emu.reset(kernel().program.base_pc);
+        kernel().fullRange()(emu.state());
+        auto os = mesa.offloadLoop(kernel().loopBody(), emu.state(),
+                                   true);
+        if (!os || !os->accel.watchdog_tripped) {
+            state.SkipWithError("offload did not hang to the watchdog");
+            break;
+        }
+        benchmark::DoNotOptimize(os->accel_cycles);
+        iterations += int64_t(os->accel_iterations);
+    }
+    state.SetItemsProcessed(iterations);
+}
+BENCHMARK(BM_AcceleratorRunHung);
 
 /** Fixed-seed xorshift64 for the SlotPool request streams. */
 struct XorShift

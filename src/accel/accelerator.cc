@@ -91,9 +91,15 @@ Accelerator::configure(const AcceleratorConfig &config)
     plan_.assign(n, SlotPlan{});
     guard_routes_.clear();
     lane_bus_.clear();
+    read_ahead_.clear();
+    auto reads = [&](int32_t src, size_t reader) {
+        if (src >= 0 && size_t(src) >= reader)
+            read_ahead_.push_back(src);
+    };
     for (size_t i = 0; i < n; ++i) {
         const PeSlot &slot = config_.slots[i];
         SlotPlan &sp = plan_[i];
+        sp.op = slot.inst.op;
         sp.cls = slot.inst.cls();
         sp.fp = sp.cls == OpClass::FpAlu || sp.cls == OpClass::FpMul ||
                 sp.cls == OpClass::FpDiv;
@@ -105,16 +111,38 @@ Accelerator::configure(const AcceleratorConfig &config)
         auto ov = config_.imm_overrides.find(slot.node);
         sp.imm = ov != config_.imm_overrides.end() ? ov->second
                                                    : slot.inst.imm;
+        sp.pc = slot.inst.pc;
         sp.src1 = route(slot.src1, i);
         sp.src2 = route(slot.src2, i);
+        sp.live_in1 = slot.live_in1;
+        sp.live_in2 = slot.live_in2;
         sp.prev_writer = route(slot.prev_dest_writer, i);
+        sp.prev_dest_live_in = slot.prev_dest_live_in;
         sp.guards_begin = uint32_t(guard_routes_.size());
         for (NodeId g : slot.guards)
             guard_routes_.push_back(route(g, i));
         sp.guards_end = uint32_t(guard_routes_.size());
+        sp.forward_from_store = slot.forward_from_store;
+        sp.vector_group = slot.vector_group;
+        sp.vector_leader = slot.vector_leader;
+        sp.prefetch = slot.prefetch;
+        sp.prefetch_stride = slot.prefetch_stride;
+
+        reads(sp.src1.src, i);
+        reads(sp.src2.src, i);
+        reads(sp.prev_writer.src, i);
+        for (uint32_t g = sp.guards_begin; g < sp.guards_end; ++g)
+            reads(guard_routes_[g].src, i);
+        if (sp.cls == OpClass::Load)
+            reads(sp.forward_from_store, i);
     }
+    std::sort(read_ahead_.begin(), read_ahead_.end());
+    read_ahead_.erase(std::unique(read_ahead_.begin(), read_ahead_.end()),
+                      read_ahead_.end());
+    live_outs_.assign(config_.live_outs.begin(), config_.live_outs.end());
     for (auto &inst : instances_)
         inst.bus_free.assign(lane_bus_.size(), 0);
+    prof_lane_.assign(lane_bus_.size(), nullptr);
     resolveSites();
     if (prof_)
         prof_slot_.assign(n, ProfSlot{});
@@ -302,30 +330,38 @@ writeUnified(riscv::ArchState &state, int reg, uint32_t value)
 
 } // namespace
 
+template <bool Prof>
 bool
-Accelerator::runIteration(Instance &inst, AccelRunResult &result)
+Accelerator::runIteration(Instance &inst, AccelRunResult &result,
+                          SlotCount *count)
 {
-    const size_t n = config_.slots.size();
+    const size_t n = plan_.size();
     const uint64_t iter_start = inst.next_floor;
     const size_t inst_index = size_t(&inst - instances_.data());
-    auto &pe_free = pe_free_[inst_index];
-    const std::vector<TransientFault> &transients =
-        fault_plane_.transients;
+    uint64_t *const pe_free = pe_free_[inst_index].data();
     // Global iteration index within this run (all tiles), the key the
-    // single-event-upset model fires on.
+    // transient-upset and stuck-branch models fire on. The
+    // transient list is scanned per slot only on an iteration some
+    // upset names.
     const uint64_t global_iter = result.iterations;
+    bool upset = false;
+    for (const TransientFault &f : fault_plane_.transients)
+        upset = upset || f.iteration == global_iter;
 
     // Reused scratch (sized in configure): no allocation per
-    // iteration in the hot loop.
-    std::vector<uint32_t> &out = iter_out_;
-    std::vector<uint64_t> &done = iter_done_;
-    std::vector<char> &taken = iter_taken_;
-    out.assign(n, 0);
-    done.assign(n, iter_start);
-    taken.assign(n, 0);
+    // iteration in the hot loop. Each slot writes its out/done/taken
+    // entries before any later slot reads them; only the slots some
+    // slot reads ahead of their own execution start from the reset
+    // values.
+    uint32_t *const out = iter_out_.data();
+    uint64_t *const done = iter_done_.data();
+    char *const taken = iter_taken_.data();
+    for (const int32_t j : read_ahead_) {
+        out[j] = 0;
+        done[j] = iter_start;
+        taken[j] = 0;
+    }
     iter_group_done_.clear();
-    if (prof_)
-        prof_slot_.assign(n, ProfSlot{});
 
     // Remember how each slot's inputs arrived (profiling only), so
     // attributeIteration can walk the critical path backwards. For
@@ -348,36 +384,41 @@ Accelerator::runIteration(Instance &inst, AccelRunResult &result)
     };
 
     // Data transfer along a planned route into slot i, including NoC
-    // bus contention; samples the edge latency counter.
+    // bus contention. An operand 0/1 route adds its bus wait to the
+    // slot's run counts (guard and forwarded-value inputs, operand 2,
+    // are not measured).
     auto arrival = [&](const Route &rt, size_t i,
                        int operand) -> uint64_t {
-        const uint64_t t0 = done[size_t(rt.src)];
+        const uint64_t t0 = done[rt.src];
         uint64_t start = t0;
         if (rt.lane >= 0) {
             uint64_t &free = inst.bus_free[size_t(rt.lane)];
             start = std::max(t0, free);
             free = start + 1;
             ++result.noc_transfers;
-            if (prof_) {
-                const int bus = lane_bus_[size_t(rt.lane)];
-                prof::LinkStats &ls = prof_->links[bus];
-                ++ls.transfers;
-                ls.wait_cycles += start - t0;
-                if (!prof_->link_coords.count(bus)) {
-                    const Coord anchor = ic_->busCoord(bus);
-                    prof_->link_coords.emplace(
-                        bus, std::make_pair(anchor.r, anchor.c));
+            if (operand == 0)
+                count[i].wait1 += start - t0;
+            else if (operand == 1)
+                count[i].wait2 += start - t0;
+            if constexpr (Prof) {
+                prof::LinkStats *&ls = prof_lane_[size_t(rt.lane)];
+                if (!ls) {
+                    const int bus = lane_bus_[size_t(rt.lane)];
+                    ls = &prof_->links[bus];
+                    if (!prof_->link_coords.count(bus)) {
+                        const Coord anchor = ic_->busCoord(bus);
+                        prof_->link_coords.emplace(
+                            bus, std::make_pair(anchor.r, anchor.c));
+                    }
                 }
+                ++ls->transfers;
+                ls->wait_cycles += start - t0;
             }
         } else if (!rt.fallback) {
             ++result.local_transfers;
         }
         const uint64_t arr = start + rt.latency;
-        if (operand == 0)
-            edge_latency1_[i].sample(arr - t0);
-        else if (operand == 1)
-            edge_latency2_[i].sample(arr - t0);
-        if (prof_) {
+        if constexpr (Prof) {
             recordEdge(i, operand, rt.src, t0, arr,
                        rt.fallback || rt.lane >= 0);
             if (rt.fallback) {
@@ -392,16 +433,18 @@ Accelerator::runIteration(Instance &inst, AccelRunResult &result)
     };
 
     for (size_t i = 0; i < n; ++i) {
-        const PeSlot &slot = config_.slots[i];
         const SlotPlan &sp = plan_[i];
-        const Op op = slot.inst.op;
+        if constexpr (Prof) {
+            for (ProfEdge &e : prof_slot_[i].e)
+                e.used = false;
+        }
 
         // Guards: the control network disables skipped PEs.
         bool active = true;
         uint64_t guard_arr = iter_start;
         for (uint32_t g = sp.guards_begin; g < sp.guards_end; ++g) {
             const Route &rt = guard_routes_[g];
-            if (taken[size_t(rt.src)])
+            if (taken[rt.src])
                 active = false;
             guard_arr = std::max(guard_arr, arrival(rt, i, 2));
         }
@@ -412,18 +455,19 @@ Accelerator::runIteration(Instance &inst, AccelRunResult &result)
             uint32_t old_val = 0;
             uint64_t old_avail = iter_start;
             if (sp.prev_writer.src >= 0) {
-                old_val = out[size_t(sp.prev_writer.src)];
+                old_val = out[sp.prev_writer.src];
                 old_avail = arrival(sp.prev_writer, i, 2);
-            } else if (slot.prev_dest_live_in >= 0) {
-                old_val = inst.regs[size_t(slot.prev_dest_live_in)];
+            } else if (sp.prev_dest_live_in >= 0) {
+                old_val = inst.regs[size_t(sp.prev_dest_live_in)];
                 old_avail = std::max(
                     iter_start,
-                    inst.reg_avail[size_t(slot.prev_dest_live_in)]);
+                    inst.reg_avail[size_t(sp.prev_dest_live_in)]);
             }
             out[i] = old_val;
             done[i] = std::max(guard_arr, old_avail);
+            taken[i] = 0;
             ++result.disabled_ops;
-            if (prof_) {
+            if constexpr (Prof) {
                 // Zero-length service: the slot's completion is set
                 // entirely by its guard / forwarded-value arrivals.
                 ProfSlot &ps = prof_slot_[i];
@@ -435,10 +479,10 @@ Accelerator::runIteration(Instance &inst, AccelRunResult &result)
         }
 
         // Operand values and arrival cycles.
-        auto operand = [&](const Route &rt, int live_in,
+        auto operand = [&](const Route &rt, int32_t live_in,
                            int idx) -> std::pair<uint32_t, uint64_t> {
             if (rt.src >= 0)
-                return {out[size_t(rt.src)], arrival(rt, i, idx)};
+                return {out[rt.src], arrival(rt, i, idx)};
             if (live_in >= 0) {
                 return {inst.regs[size_t(live_in)],
                         std::max(iter_start,
@@ -446,16 +490,18 @@ Accelerator::runIteration(Instance &inst, AccelRunResult &result)
             }
             return {0u, iter_start};
         };
-        auto [v1, a1] = operand(sp.src1, slot.live_in1, 0);
-        auto [v2, a2] = operand(sp.src2, slot.live_in2, 1);
+        auto [v1, a1] = operand(sp.src1, sp.live_in1, 0);
+        auto [v2, a2] = operand(sp.src2, sp.live_in2, 1);
 
         // Installed hardware defects (resolved per site, see
         // resolveSites) corrupt the values this slot sees.
         const SlotSite &site = inst.sites[i];
         uint32_t fault_xor = site.pe_xor;
-        for (const TransientFault &f : transients)
-            if (f.slot == i && f.iteration == global_iter)
-                fault_xor ^= f.xor_mask;
+        if (upset) {
+            for (const TransientFault &f : fault_plane_.transients)
+                if (f.slot == i && f.iteration == global_iter)
+                    fault_xor ^= f.xor_mask;
+        }
         if (site.link_xor1) {
             v1 ^= site.link_xor1;
             ++result.faults_fired;
@@ -483,9 +529,9 @@ Accelerator::runIteration(Instance &inst, AccelRunResult &result)
         ready = std::max(ready, pe_next);
 
         switch (sp.cls) {
-          case OpClass::Branch:
-            taken[i] = riscv::branchEval(op, v1, v2);
-            if (i == n - 1 && !taken[i]) {
+          case OpClass::Branch: {
+            bool branch_taken = riscv::branchEval(sp.op, v1, v2);
+            if (i == n - 1 && !branch_taken) {
                 // Stuck control line: the closing branch always reads
                 // taken, so the loop can never exit (induced hang).
                 // Once engaged the line stays stuck — latch it so the
@@ -494,60 +540,62 @@ Accelerator::runIteration(Instance &inst, AccelRunResult &result)
                      fault_plane_.stuck_branches) {
                     if (global_iter >= f.from_iteration) {
                         f.from_iteration = 0;
-                        taken[i] = true;
+                        branch_taken = true;
                         ++result.faults_fired;
                         break;
                     }
                 }
             }
+            taken[i] = branch_taken;
+            out[i] = 0;
             done[i] = ready + sp.latency;
             break;
+          }
 
           case OpClass::Load: {
             const uint32_t addr = v1 + uint32_t(sp.imm);
             ++result.loads;
-            if (slot.forward_from_store != NoNode) {
+            if (sp.forward_from_store >= 0) {
                 // Static store->load forwarding edge (paper §4.2):
                 // one broadcast cycle after the store's data is ready.
-                const size_t st = size_t(slot.forward_from_store);
+                const int32_t st = sp.forward_from_store;
                 out[i] = out[st];
                 done[i] = std::max(ready, done[st] + 1);
                 ++result.store_load_forwards;
             } else if (const uint64_t *gd =
-                           slot.vector_group >= 0 && !slot.vector_leader
-                               ? groupDone(slot.vector_group)
+                           sp.vector_group >= 0 && !sp.vector_leader
+                               ? groupDone(sp.vector_group)
                                : nullptr) {
                 // Vectorized member: the leader's wide access covers
                 // this element; no extra port use.
-                out[i] = inst.lsu->peek(unsigned(i), addr, op);
+                out[i] = inst.lsu->peek(unsigned(i), addr, sp.op);
                 done[i] = std::max(ready, *gd);
             } else {
                 const mem::LoadResult lr =
-                    inst.lsu->load(unsigned(i), addr, op, ready);
+                    inst.lsu->load(unsigned(i), addr, sp.op, ready);
                 out[i] = lr.value;
                 done[i] = lr.done_cycle;
                 if (lr.forwarded)
                     ++result.store_load_forwards;
                 if (lr.invalidated)
                     ++result.load_invalidations;
-                if (slot.vector_group >= 0 && slot.vector_leader) {
-                    if (uint64_t *lead = groupDone(slot.vector_group))
+                if (sp.vector_group >= 0 && sp.vector_leader) {
+                    if (uint64_t *lead = groupDone(sp.vector_group))
                         *lead = lr.done_cycle;
                     else
                         iter_group_done_.emplace_back(
-                            slot.vector_group, lr.done_cycle);
+                            sp.vector_group, lr.done_cycle);
                 }
             }
-            if (slot.prefetch) {
-                hierarchy_.prefetch(addr +
-                                    uint32_t(slot.prefetch_stride));
-            }
+            if (sp.prefetch)
+                hierarchy_.prefetch(addr + uint32_t(sp.prefetch_stride));
+            count[i].load_svc += done[i] - ready;
             break;
           }
 
           case OpClass::Store: {
             const uint32_t addr = v1 + uint32_t(sp.imm);
-            inst.lsu->store(unsigned(i), addr, v2, op, ready);
+            inst.lsu->store(unsigned(i), addr, v2, sp.op, ready);
             out[i] = v2; // visible to static forwarding consumers
             done[i] = ready + sp.latency;
             ++result.stores;
@@ -555,7 +603,7 @@ Accelerator::runIteration(Instance &inst, AccelRunResult &result)
           }
 
           default:
-            out[i] = riscv::aluEval(op, v1, v2, sp.imm, slot.inst.pc);
+            out[i] = riscv::aluEval(sp.op, v1, v2, sp.imm, sp.pc);
             done[i] = ready + sp.latency;
             break;
         }
@@ -565,17 +613,16 @@ Accelerator::runIteration(Instance &inst, AccelRunResult &result)
             out[i] ^= fault_xor;
         }
 
-        node_latency_[i].sample(done[i] - ready);
+        // Every enabled execution counts toward the node latency and
+        // the PE's busy cycles (folded at the end of run()): a PE is
+        // busy for its operation's service time; time a load spends
+        // waiting on the memory system is LS-entry time, not PE
+        // switching activity.
+        ++count[i].execs;
         // Pipelined PE: a new iteration's operation can issue after
         // the issue interval, not only after full completion.
         pe_next = ready + params_.pe_issue_interval;
-        // Activity accounting: a PE is busy for its operation's
-        // service time; time a load spends waiting on the memory
-        // system is LS-entry time, not PE switching activity.
-        result.pe_busy_cycles += sp.busy;
-        if (sp.fp)
-            result.fp_busy_cycles += sp.busy;
-        if (prof_) {
+        if constexpr (Prof) {
             ProfSlot &ps = prof_slot_[i];
             ps.ready = ready;
             ps.done = done[i];
@@ -597,9 +644,9 @@ Accelerator::runIteration(Instance &inst, AccelRunResult &result)
         end = std::max(end, done[i]);
 
     // Latch live-outs for the next iteration.
-    for (const auto &[reg, writer] : config_.live_outs) {
-        inst.regs[size_t(reg)] = out[size_t(writer)];
-        inst.reg_avail[size_t(reg)] = done[size_t(writer)];
+    for (const auto &[reg, writer] : live_outs_) {
+        inst.regs[size_t(reg)] = out[writer];
+        inst.reg_avail[size_t(reg)] = done[writer];
     }
 
     ++inst.iterations;
@@ -607,11 +654,42 @@ Accelerator::runIteration(Instance &inst, AccelRunResult &result)
     // past this instance's previous critical end: back-to-back
     // iterations expose [iter_start, end], pipelined ones only their
     // uncovered tail. The exposed windows tile [0, last_end] exactly.
-    if (prof_ && end > inst.last_end)
-        attributeIteration(inst, inst.last_end, end);
+    if constexpr (Prof) {
+        if (end > inst.last_end)
+            attributeIteration(inst, inst.last_end, end);
+    }
     inst.last_end = std::max(inst.last_end, end);
     inst.next_floor = config_.pipelined ? iter_start + 1 : end;
     return taken[n - 1] != 0;
+}
+
+void
+Accelerator::foldCounts(const std::vector<SlotCount> &counts,
+                        AccelRunResult &result)
+{
+    // Each sum below equals what sampling every execution would have
+    // added: a non-load slot's service is always sp.latency, and an
+    // operand arrives at its producer's completion plus the bus wait
+    // plus the route latency (local and fallback routes never wait).
+    for (size_t i = 0; i < plan_.size(); ++i) {
+        const SlotPlan &sp = plan_[i];
+        const SlotCount &c = counts[i];
+        if (c.execs == 0)
+            continue;
+        node_latency_[i].add(sp.cls == OpClass::Load
+                                 ? c.load_svc
+                                 : sp.latency * c.execs,
+                             c.execs);
+        if (sp.src1.src >= 0)
+            edge_latency1_[i].add(sp.src1.latency * c.execs + c.wait1,
+                                  c.execs);
+        if (sp.src2.src >= 0)
+            edge_latency2_[i].add(sp.src2.latency * c.execs + c.wait2,
+                                  c.execs);
+        result.pe_busy_cycles += sp.busy * c.execs;
+        if (sp.fp)
+            result.fp_busy_cycles += sp.busy * c.execs;
+    }
 }
 
 void
@@ -702,6 +780,7 @@ Accelerator::run(riscv::ArchState &state, uint64_t max_iterations,
     // Each run starts a fresh cycle timeline; forget port bookings
     // from previous profiling epochs.
     ports_.reset();
+    std::fill(prof_lane_.begin(), prof_lane_.end(), nullptr);
 
     // Latch live-in registers (control transfer from CPU, paper §5.1).
     for (size_t k = 0; k < instances_.size(); ++k) {
@@ -764,13 +843,18 @@ Accelerator::run(riscv::ArchState &state, uint64_t max_iterations,
     // Round-robin full rounds across tile instances; stopping only at
     // round boundaries keeps the executed-iteration set a prefix of
     // the sequential order (see DESIGN.md).
+    bool (Accelerator::*const iterate)(Instance &, AccelRunResult &,
+                                       SlotCount *) =
+        prof_ ? &Accelerator::runIteration<true>
+              : &Accelerator::runIteration<false>;
+    std::vector<SlotCount> counts(plan_.size());
     bool all_done = false;
     while (!all_done && result.iterations < max_iterations) {
         all_done = true;
         for (auto &inst : instances_) {
             if (inst.done)
                 continue;
-            const bool cont = runIteration(inst, result);
+            const bool cont = (this->*iterate)(inst, result, counts.data());
             ++result.iterations;
             if (!cont)
                 inst.done = true;
@@ -791,6 +875,7 @@ Accelerator::run(riscv::ArchState &state, uint64_t max_iterations,
         }
     }
     result.completed = all_done;
+    foldCounts(counts, result);
 
     // Write back architectural state (control transfer to CPU).
     // Induction registers merge across instances by taking the value
@@ -813,7 +898,7 @@ Accelerator::run(riscv::ArchState &state, uint64_t max_iterations,
         }
     }
 
-    for (const auto &[reg, writer] : config_.live_outs) {
+    for (const auto &[reg, writer] : live_outs_) {
         (void)writer;
         const dfg::InductionReg *ind = nullptr;
         for (const auto &cand : config_.inductions)

@@ -155,8 +155,9 @@ class Accelerator
      * While attached, every run() decomposes its wall cycles into
      * compute / NoC-stall / mem-stall — summing exactly to the cycles
      * it returns — and feeds the spatial per-PE / per-link counters.
-     * Detached profiling is zero-cost beyond one pointer test per
-     * guarded site. The profile is resized to the physical grid.
+     * run() picks the profiled or the profile-free device loop once
+     * per call, so a detached profile costs nothing per slot. The
+     * profile is resized to the physical grid.
      */
     void setProfile(prof::AccelProfile *profile);
     prof::AccelProfile *profile() const { return prof_; }
@@ -185,19 +186,50 @@ class Accelerator
         bool fallback = false; ///< Unmapped endpoint: secondary bus.
     };
 
-    /** Per-slot constants of the configured dataflow (the plan). */
+    /**
+     * Per-slot constants of the configured dataflow (the plan): every
+     * PeSlot field the device loop reads, so it never touches
+     * config_.slots.
+     */
     struct SlotPlan
     {
+        riscv::Op op = riscv::Op::Addi;
         riscv::OpClass cls = riscv::OpClass::Nop;
         bool fp = false;        ///< FP functional unit (activity).
         size_t pe_key = 0;      ///< Index into the per-PE busy table.
         uint64_t latency = 0;   ///< Service cycles (op_latency).
         uint64_t busy = 0;      ///< PE switching-activity cycles.
         int32_t imm = 0;        ///< Immediate after imm_overrides.
+        uint32_t pc = 0;        ///< The instruction's pc (auipc, jal).
         Route src1, src2;       ///< Operand 0/1 producers.
+        int32_t live_in1 = -1;  ///< Operand 0/1 register when no
+        int32_t live_in2 = -1;  ///< producer slot feeds it.
         Route prev_writer;      ///< Forwarded old value when disabled.
+        int32_t prev_dest_live_in = -1; ///< ... or this register's.
         uint32_t guards_begin = 0; ///< [begin, end) in guard_routes_.
         uint32_t guards_end = 0;
+        /** Static store->load forwarding source slot (-1 = none). */
+        int32_t forward_from_store = -1;
+        int32_t vector_group = -1; ///< Vectorized load group, -1 none.
+        bool vector_leader = false;
+        bool prefetch = false;
+        int32_t prefetch_stride = 0;
+    };
+
+    /**
+     * Activity of one slot (all tile instances) during one run(),
+     * folded into the latency counters and the busy totals once at
+     * the end of that run. A non-load slot's service time is always
+     * its plan latency and every edge arrives latency cycles after
+     * its bus grant, so counts and waits reproduce every
+     * per-execution sample sum exactly.
+     */
+    struct SlotCount
+    {
+        uint64_t execs = 0;     ///< Enabled (non-predicated) executions.
+        uint64_t load_svc = 0;  ///< Sum of done - ready (loads only).
+        uint64_t wait1 = 0;     ///< Bus wait on operand 0's route.
+        uint64_t wait2 = 0;     ///< Bus wait on operand 1's route.
     };
 
     /** One slot on one tile instance: its physical PE and the
@@ -254,8 +286,20 @@ class Accelerator
         std::array<ProfEdge, 3> e; ///< Operand 0/1, max guard input.
     };
 
-    /** One iteration of one instance; returns loop-continue. */
-    bool runIteration(Instance &inst, AccelRunResult &result);
+    /**
+     * One iteration of one instance; returns loop-continue. Adds the
+     * iteration's activity to @p count (one entry per slot). Prof
+     * selects the instantiation that feeds the attached profile; the
+     * other has no profiler code at all.
+     */
+    template <bool Prof>
+    bool runIteration(Instance &inst, AccelRunResult &result,
+                      SlotCount *count);
+
+    /** Add one run's SlotCounts to the latency counters and the
+     *  result's busy totals. */
+    void foldCounts(const std::vector<SlotCount> &counts,
+                    AccelRunResult &result);
 
     /**
      * Decompose one iteration's exposed wall window [lo, end) of
@@ -288,6 +332,9 @@ class Accelerator
     FaultPlane fault_plane_;
     prof::AccelProfile *prof_ = nullptr;
     std::vector<ProfSlot> prof_slot_; ///< Sized with the config.
+    /** Per lane: the attached profile's entry for its bus, resolved
+     *  on the lane's first transfer in a run (null until then). */
+    std::vector<prof::LinkStats *> prof_lane_;
 
     /** Per-PE busy tracking keyed by flattened virtual position
      *  (pipelining resource constraint; time-multiplexed nodes share
@@ -297,12 +344,20 @@ class Accelerator
     /** The configuration compiled for the device loop (configure). */
     std::vector<SlotPlan> plan_;
     std::vector<Route> guard_routes_;
+    /** Live-outs as (unified register, final writer slot), in
+     *  register order. */
+    std::vector<std::pair<int, int32_t>> live_outs_;
+    /** Slots some slot reads before (or as) it executes in an
+     *  iteration: the only scratch the iteration must reset. */
+    std::vector<int32_t> read_ahead_;
     /** Interconnect bus id of each lane, in first-booked order: the
      *  plan's buses, numbered densely. */
     std::vector<int> lane_bus_;
 
     // Per-iteration scratch, sized once in configure() and reused so
-    // the per-cycle loop performs no heap allocation.
+    // the per-cycle loop performs no heap allocation. Every slot
+    // writes its entries before any later slot reads them, so only
+    // read_ahead_ slots are reset per iteration.
     std::vector<uint32_t> iter_out_;
     std::vector<uint64_t> iter_done_;
     std::vector<char> iter_taken_;

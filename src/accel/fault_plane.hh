@@ -10,12 +10,17 @@
  *    every result computed on that physical PE is XOR-corrupted.
  *  - LinkFault: a dead/shorted interconnect link — any operand
  *    forwarded across the (from -> to) physical hop is corrupted.
- *  - TransientFault: a single-event upset — one slot's result is
- *    flipped on exactly one iteration of one run, then never again.
+ *  - TransientFault: an upset on one slot at one iteration index —
+ *    the index counts iterations (all tiles) within one run() call,
+ *    so it is not single-event across runs: every run() that reaches
+ *    the index flips the slot's result again. The controller calls
+ *    run() once per profiling epoch, so an upset at an index below
+ *    the epoch length fires once per epoch of the offload.
  *  - BranchStuckFault: a stuck control line on the loop's closing
- *    branch — from the given iteration on, the branch always reads
- *    taken, so the loop can never exit (the induced-hang model the
- *    watchdog must cut off).
+ *    branch — from the given iteration on (the same run-local index),
+ *    the branch always reads taken, so the loop can never exit (the
+ *    induced-hang model the watchdog must cut off). Once engaged it
+ *    stays engaged in later runs.
  *
  * All coordinates are physical grid positions; the device translates
  * virtual slot positions (time-multiplex folds, tile-instance
@@ -48,11 +53,12 @@ struct LinkFault
     uint32_t xor_mask = 1;
 };
 
-/** Single-event upset: fires once, on one slot, on one iteration. */
+/** Upset on one slot at one run-local iteration index; fires in every
+ *  run() that reaches that index (see the file comment). */
 struct TransientFault
 {
     size_t slot = 0;         ///< Slot (node) index in the config.
-    uint64_t iteration = 0;  ///< Iteration index within one run.
+    uint64_t iteration = 0;  ///< Iteration index within each run().
     uint32_t xor_mask = 1;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <type_traits>
 
 #include "util/logging.hh"
 
@@ -28,7 +29,12 @@ Cache::Cache(std::string name, const CacheParams &params)
     line_shift_ = unsigned(std::countr_zero(params_.line_bytes));
     tag_shift_ = line_shift_ + unsigned(std::countr_zero(num_sets_));
     set_mask_ = num_sets_ - 1;
-    lines_.assign(lines, Line{});
+    static_assert(std::is_trivially_copyable_v<Line> &&
+                  std::is_trivially_destructible_v<Line>);
+    num_lines_ = lines;
+    lines_.reset(static_cast<Line *>(std::calloc(lines, sizeof(Line))));
+    if (!lines_)
+        fatal("cache ", name_, ": cannot allocate ", lines, " lines");
 }
 
 bool
@@ -82,7 +88,7 @@ Cache::probe(uint32_t addr) const
 void
 Cache::flush()
 {
-    std::fill(lines_.begin(), lines_.end(), Line{});
+    std::fill_n(lines_.get(), num_lines_, Line{});
 }
 
 MemHierarchy::MemHierarchy(const HierarchyParams &params)

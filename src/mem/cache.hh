@@ -10,6 +10,8 @@
 #define MESA_MEM_CACHE_HH
 
 #include <cstdint>
+#include <cstdlib>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -73,12 +75,19 @@ class Cache
     size_t numSets() const { return num_sets_; }
 
   private:
+    /** All-zero bytes are the invalid line, so zeroed storage from
+     *  calloc holds a flushed cache without touching it. */
     struct Line
     {
         uint32_t tag = 0;
         bool valid = false;
         bool dirty = false;
         uint64_t lru = 0;  ///< Larger = more recently used.
+    };
+
+    struct FreeLines
+    {
+        void operator()(Line *lines) const { std::free(lines); }
     };
 
     /** Index in lines_ of the first way of @p addr's set. */
@@ -103,8 +112,11 @@ class Cache
     unsigned tag_shift_; ///< line_shift_ + log2(num_sets_).
     size_t set_mask_;    ///< num_sets_ - 1.
     /** Set-major: set s occupies [s * assoc, (s + 1) * assoc). One
-     *  allocation however many sets the geometry has. */
-    std::vector<Line> lines_;
+     *  calloc'd allocation however many sets the geometry has; when
+     *  calloc gets fresh zero pages from the OS, construction writes
+     *  none of them. */
+    std::unique_ptr<Line[], FreeLines> lines_;
+    size_t num_lines_;
     uint64_t access_clock_ = 0;
 
     Counter hits_{"hits"};

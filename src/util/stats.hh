@@ -55,6 +55,14 @@ class BasicAverage
         ++count_;
     }
 
+    /** Fold in @p count samples whose values add up to @p sum. */
+    void
+    add(Sum sum, uint64_t count)
+    {
+        sum_ += sum;
+        count_ += count;
+    }
+
     double
     mean() const
     {

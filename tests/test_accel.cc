@@ -571,11 +571,13 @@ enum class Install
 };
 
 GoldenOutcome
-goldenRun(Shape shape, Install install)
+goldenRun(Shape shape, Install install,
+          prof::AccelProfile *profile = nullptr)
 {
     mem::MainMemory memory;
     loadGoldenMemory(memory);
     accel::Accelerator device(accel::AccelParams::m128(), memory);
+    device.setProfile(profile);
     const accel::AcceleratorConfig config = goldenConfig(shape);
     switch (install) {
       case Install::None:
@@ -705,6 +707,223 @@ TEST(DeviceLoopGolden, RefaultingReplacesThePlane)
     EXPECT_EQ(warm.faults_fired, 0u);
     EXPECT_EQ(warm.state_crc, cold.state_crc);
     EXPECT_EQ(warm.memory_crc, cold.memory_crc);
+}
+
+TEST(DeviceLoopGolden, ReadAheadSlotsSeeResetValues)
+{
+    // A slot that reads a producer placed after it sees the
+    // iteration's reset values (0, available at iteration start), not
+    // the producer's result from the previous iteration.
+    using riscv::Op;
+    accel::AcceleratorConfig c;
+    c.region_start = kLoopPc;
+    c.region_end = kLoopPc + 3 * 4;
+    c.rows = 16;
+    c.cols = 8;
+    auto &s = c.slots;
+    s.push_back(makeSlot(0, Op::Add, 5, 0, {0, 0}));
+    s[0].src1 = 1;
+    s[0].live_in2 = 12;
+    s.push_back(makeSlot(1, Op::Addi, 10, 8, {0, 1}));
+    s[1].live_in1 = 10;
+    s.push_back(makeSlot(2, Op::Bltu, 0, -8, {0, 2}));
+    s[2].src1 = 1;
+    s[2].live_in2 = 11;
+    c.live_ins = {10, 11, 12};
+    c.live_outs = {{5, 0}, {10, 1}};
+    c.crc = accel::configCrc(c);
+
+    mem::MainMemory memory;
+    accel::Accelerator device(accel::AccelParams::m128(), memory);
+    device.configure(c);
+    riscv::ArchState state = goldenEntryState();
+    const accel::AccelRunResult r =
+        device.run(state, ~uint64_t(0), kCycleBudget);
+    EXPECT_TRUE(r.completed);
+    EXPECT_EQ(r.iterations, uint64_t(kTrips));
+    EXPECT_EQ(state.x[5], 7u);
+    EXPECT_EQ(state.x[10], kArrayA + 8 * kTrips);
+    // The forward edge is sampled with its producer "done" at the
+    // iteration start: arrival = start + the one-hop latency.
+    EXPECT_EQ(device.measuredEdgeLatency(0, 0),
+              device.interconnect().latency({0, 1}, {0, 0}));
+}
+
+/** CRC over every counter an attached profile accumulates. */
+uint32_t
+profileCrc(const prof::AccelProfile &p)
+{
+    Crc32 c;
+    c.add64(p.compute_cycles);
+    c.add64(p.noc_stall_cycles);
+    c.add64(p.mem_stall_cycles);
+    for (const std::vector<uint64_t> *v :
+         {&p.pe_busy, &p.pe_wait, &p.pe_ops, &p.pe_traffic}) {
+        c.add64(v->size());
+        for (uint64_t x : *v)
+            c.add64(x);
+    }
+    c.add64(p.links.size());
+    for (const auto &[bus, ls] : p.links) {
+        c.add32(uint32_t(bus));
+        c.add64(ls.transfers);
+        c.add64(ls.wait_cycles);
+    }
+    c.add64(p.link_coords.size());
+    for (const auto &[bus, rc] : p.link_coords) {
+        c.add32(uint32_t(bus));
+        c.add32(uint32_t(rc.first));
+        c.add32(uint32_t(rc.second));
+    }
+    c.add64(p.fallback_transfers);
+    c.add64(p.port_wait_cycles);
+    return c.value();
+}
+
+/** A run split into max_iterations epochs, as the controller's
+ *  profiling epochs drive it. */
+struct EpochSplit
+{
+    uint32_t epochs;     ///< run() calls until completion (or the cap).
+    uint32_t chain_crc;  ///< Every epoch's GoldenOutcome, in order.
+
+    bool operator==(const EpochSplit &) const = default;
+};
+
+std::ostream &
+operator<<(std::ostream &os, const EpochSplit &e)
+{
+    return os << "{" << e.epochs << ", 0x" << std::hex << e.chain_crc
+              << std::dec << "}";
+}
+
+constexpr uint64_t kEpochIterations = 5;
+constexpr uint32_t kMaxEpochs = 8;
+
+EpochSplit
+epochSplitRun(Shape shape, bool faulted)
+{
+    mem::MainMemory memory;
+    loadGoldenMemory(memory);
+    accel::Accelerator device(accel::AccelParams::m128(), memory);
+    if (faulted)
+        device.injectFaults(goldenFaults());
+    device.configure(goldenConfig(shape));
+    riscv::ArchState state = goldenEntryState();
+    // The latency counters persist across run() calls, so each
+    // epoch's outcome (latency_crc included) pins what the counters
+    // read after that epoch.
+    Crc32 chain;
+    EpochSplit split{0, 0};
+    while (split.epochs < kMaxEpochs) {
+        const accel::AccelRunResult r =
+            device.run(state, kEpochIterations, kCycleBudget);
+        ++split.epochs;
+        const GoldenOutcome o = observe(device, r, state, memory);
+        for (uint64_t v :
+             {o.cycles, o.iterations, o.completed, o.pe_busy_cycles,
+              o.fp_busy_cycles, o.disabled_ops, o.noc_transfers,
+              o.local_transfers, o.loads, o.stores, o.store_load_forwards,
+              o.load_invalidations, o.dram_accesses, o.pes_used,
+              o.pes_total, o.watchdog_tripped, o.faults_fired}) {
+            chain.add64(v);
+        }
+        chain.add32(o.latency_crc);
+        chain.add32(o.state_crc);
+        chain.add32(o.memory_crc);
+        if (r.completed)
+            break;
+    }
+    split.chain_crc = chain.value();
+    return split;
+}
+
+struct ProfiledCase
+{
+    Shape shape;
+    const char *name;
+    uint32_t profile_clean;   ///< profileCrc after the clean run.
+    uint32_t profile_faulted; ///< ... and after the faulted run.
+    EpochSplit split_clean;
+    EpochSplit split_faulted;
+};
+
+// Recorded from the device loop that sampled its latency counters on
+// every slot execution and tested the profiler per edge.
+const ProfiledCase kProfiledCases[] = {
+    {Shape::Spatial, "spatial", 0xce26e213, 0xa6ef99f6,
+     {5, 0xef5babf}, {5, 0xdd46a337}},
+    {Shape::Tiled, "tiled", 0x2ee29f3e, 0xf30279f5,
+     {4, 0x6ed2ca9e}, {4, 0xa9686d40}},
+    {Shape::Pipelined, "pipelined", 0x32706561, 0x5ce34e15,
+     {5, 0xd1c4bf90}, {5, 0x84891b0}},
+    {Shape::Folded, "folded", 0xaf510c9b, 0x8f4d4c58,
+     {5, 0xc0f2cd9a}, {5, 0xbca58371}},
+};
+
+TEST(DeviceLoopGolden, ProfiledRunsMatchUnprofiled)
+{
+    // Attaching a profile must not perturb the run, and what the
+    // profile accumulates is pinned too.
+    ASSERT_EQ(std::size(kProfiledCases), std::size(kGoldenCases));
+    for (size_t k = 0; k < std::size(kProfiledCases); ++k) {
+        const ProfiledCase &pc = kProfiledCases[k];
+        const GoldenCase &gc = kGoldenCases[k];
+        SCOPED_TRACE(pc.name);
+        ASSERT_EQ(pc.shape, gc.shape);
+        prof::AccelProfile clean, faulted;
+        EXPECT_EQ(goldenRun(pc.shape, Install::None, &clean), gc.clean);
+        EXPECT_EQ(goldenRun(pc.shape, Install::BeforeConfig, &faulted),
+                  gc.faulted);
+        EXPECT_EQ(profileCrc(clean), pc.profile_clean);
+        EXPECT_EQ(profileCrc(faulted), pc.profile_faulted);
+        // Not vacuous: every profiled path is exercised.
+        EXPECT_GT(clean.compute_cycles, 0u);
+        EXPECT_GT(clean.fallback_transfers, 0u);
+        EXPECT_FALSE(clean.links.empty());
+        EXPECT_EQ(clean.links.size(), clean.link_coords.size());
+        EXPECT_EQ(clean.attributedTotal(), gc.clean.cycles);
+        EXPECT_EQ(faulted.attributedTotal(), gc.faulted.cycles);
+    }
+}
+
+TEST(DeviceLoopGolden, EpochSplitRunsMatchRecorded)
+{
+    // Counters folded at the end of each run() must add up across
+    // runs exactly as per-execution sampling did.
+    for (const ProfiledCase &pc : kProfiledCases) {
+        SCOPED_TRACE(pc.name);
+        EXPECT_EQ(epochSplitRun(pc.shape, false), pc.split_clean);
+        EXPECT_EQ(epochSplitRun(pc.shape, true), pc.split_faulted);
+    }
+}
+
+TEST(DeviceLoopGolden, TransientRefiresInEveryRunReachingItsIteration)
+{
+    // A TransientFault names an iteration index within one run(), so
+    // every run that reaches that index fires it again: two profiling
+    // epochs of the same offload each see the upset (an open
+    // modelling question, see ROADMAP).
+    mem::MainMemory memory;
+    loadGoldenMemory(memory);
+    accel::Accelerator device(accel::AccelParams::m128(), memory);
+    accel::FaultPlane plane;
+    plane.transients.push_back({9, 3, 0x80000000u});
+    device.injectFaults(plane);
+    device.configure(goldenConfig(Shape::Spatial));
+    riscv::ArchState state = goldenEntryState();
+    for (int epoch = 0; epoch < 2; ++epoch) {
+        SCOPED_TRACE(epoch);
+        const accel::AccelRunResult r =
+            device.run(state, kEpochIterations, kCycleBudget);
+        EXPECT_EQ(r.iterations, kEpochIterations);
+        EXPECT_FALSE(r.completed);
+        EXPECT_EQ(r.faults_fired, 1u);
+    }
+    // A run that stops before the named iteration never sees it.
+    const accel::AccelRunResult short_run =
+        device.run(state, 3, kCycleBudget);
+    EXPECT_EQ(short_run.faults_fired, 0u);
 }
 
 } // namespace
