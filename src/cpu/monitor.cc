@@ -1,10 +1,10 @@
 #include "cpu/monitor.hh"
 
 #include <algorithm>
-
-#include "util/debug.hh"
-#include "util/trace.hh"
 #include <cstdlib>
+
+#include "util/logging.hh"
+#include "util/trace.hh"
 
 namespace mesa::cpu
 {
@@ -148,14 +148,10 @@ RegionMonitor::finishIteration(const TraceEntry &branch_entry)
     } else {
         d.qualified = true;
     }
-    DTRACE("monitor", "loop 0x" << std::hex << loop_.start << std::dec
-                                << (d.qualified ? " qualified"
-                                                : " rejected: ")
-                                << (d.qualified
-                                        ? ""
-                                        : rejectReasonName(d.reason))
-                                << ", est " << d.est_remaining_iterations
-                                << " iterations remaining");
+    logDebug("monitor", "loop 0x", std::hex, loop_.start, std::dec,
+             d.qualified ? " qualified" : " rejected: ",
+             d.qualified ? "" : rejectReasonName(d.reason), ", est ",
+             d.est_remaining_iterations, " iterations remaining");
     decision_ = d;
     if (Tracer::active())
         Tracer::global().instant(

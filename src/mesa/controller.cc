@@ -6,7 +6,6 @@
 #include "dfg/unroll.hh"
 #include "fault/checkpoint.hh"
 #include "mesa/translation_store.hh"
-#include "util/debug.hh"
 #include "util/logging.hh"
 #include "util/trace.hh"
 
@@ -315,26 +314,6 @@ MesaController::attachProfile(prof::AccelProfile *profile)
     accel_.setProfile(profile);
 }
 
-std::array<uint64_t, 3>
-MesaController::profileMark() const
-{
-    if (!profile_)
-        return {};
-    return {profile_->compute_cycles, profile_->noc_stall_cycles,
-            profile_->mem_stall_cycles};
-}
-
-void
-MesaController::profileCapture(const std::array<uint64_t, 3> &mark,
-                               OffloadStats &os) const
-{
-    if (!profile_)
-        return;
-    os.prof_compute_cycles = profile_->compute_cycles - mark[0];
-    os.prof_noc_stall_cycles = profile_->noc_stall_cycles - mark[1];
-    os.prof_mem_stall_cycles = profile_->mem_stall_cycles - mark[2];
-}
-
 Counter &
 MesaController::verifyRuleCounter(const std::string &rule)
 {
@@ -360,12 +339,10 @@ MesaController::verifyPrepared(const Prepared &prep)
     if (stats_)
         for (const auto &[rule, count] : report.countsByRule())
             verifyRuleCounter(rule) += count;
-    if (!clean) {
-        DTRACE("controller",
-               "verify gate rejected region 0x"
-                   << std::hex << prep.config.region_start << std::dec
-                   << ": " << report.summary());
-    }
+    if (!clean)
+        logDebug("controller", "verify gate rejected region 0x", std::hex,
+                 prep.config.region_start, std::dec, ": ",
+                 report.summary());
     return clean;
 }
 
@@ -471,10 +448,9 @@ MesaController::prepare(const std::vector<Instruction> &body,
                 last_prepare_fallback_ = FallbackReason::VerifyDirty;
                 return std::nullopt;
             }
-            DTRACE("controller",
-                   "persisted translation hit for region 0x"
-                       << std::hex << region_start << std::dec << " ("
-                       << warm.ldfg.size() << " nodes)");
+            logDebug("controller", "persisted translation hit for region 0x",
+                     std::hex, region_start, std::dec, " (", warm.ldfg.size(),
+                     " nodes)");
             return warm;
         }
     }
@@ -550,15 +526,11 @@ MesaController::prepare(const std::vector<Instruction> &body,
         last_prepare_fallback_ = FallbackReason::VerifyDirty;
         return std::nullopt;
     }
-    DTRACE("controller",
-           "prepared region 0x" << std::hex << region_start << std::dec
-                                << ": " << prep.ldfg.size()
-                                << " nodes, tiles "
-                                << prep.options.tile_factor << "/"
-                                << prep.max_tiles << ", tm "
-                                << prep.options.time_multiplex
-                                << ", model "
-                                << prep.map.model_latency);
+    logDebug("controller", "prepared region 0x", std::hex, region_start,
+             std::dec, ": ", prep.ldfg.size(), " nodes, tiles ",
+             prep.options.tile_factor, "/", prep.max_tiles, ", tm ",
+             prep.options.time_multiplex, ", model ",
+             prep.map.model_latency);
     // Persist the finished translation (after the verify gate, so
     // only offloadable entries ever land on disk). A corrupt or
     // version-skewed file is overwritten here, self-healing the store.
@@ -567,7 +539,7 @@ MesaController::prepare(const std::vector<Instruction> &body,
     return prep;
 }
 
-void
+bool
 MesaController::runWithOptimization(Prepared &prep,
                                     riscv::ArchState &state,
                                     uint64_t max_iterations,
@@ -583,6 +555,7 @@ MesaController::runWithOptimization(Prepared &prep,
     uint64_t remaining = max_iterations;
     uint64_t budget_left = cycle_budget; // 0 = only the device cap.
     int attempts = 0;
+    bool cut = false;
 
     // Timeline cursor: epochs and reconfigurations lay out back-to-
     // back on the absolute timeline starting from the current instant.
@@ -604,11 +577,8 @@ MesaController::runWithOptimization(Prepared &prep,
         if (Tracer::active())
             tracer.setBase(cursor);
         AccelRunResult res = accel_.run(state, epoch, budget_left);
-        DTRACE("controller", "epoch: " << res.iterations
-                                       << " iterations in "
-                                       << res.cycles << " cycles"
-                                       << (res.completed ? " (done)"
-                                                         : ""));
+        logDebug("controller", "epoch: ", res.iterations, " iterations in ",
+                 res.cycles, " cycles", res.completed ? " (done)" : "");
         os.accel.accumulate(res);
         os.accel_cycles += res.cycles;
         os.accel_iterations += res.iterations;
@@ -639,19 +609,15 @@ MesaController::runWithOptimization(Prepared &prep,
         cursor += res.cycles;
         if (res.completed)
             break;
-        // Watchdog trip (device cap or the per-offload fault budget):
-        // stop driving the fabric; the guarded dispatch rolls back.
-        if (res.watchdog_tripped)
+        // Watchdog trip (device cap or the per-offload fault budget),
+        // or the budget spent without a device-side trip (the epoch
+        // ended exactly on the boundary): stop driving the fabric.
+        cut = res.watchdog_tripped ||
+              (cycle_budget && res.cycles >= budget_left);
+        if (cut)
             break;
-        if (cycle_budget) {
-            if (res.cycles >= budget_left) {
-                // Budget spent without a device-side trip (epoch ended
-                // exactly on the boundary): report the trip ourselves.
-                os.accel.watchdog_tripped = true;
-                break;
-            }
+        if (cycle_budget)
             budget_left -= res.cycles;
-        }
         if (!may_optimize)
             continue;
 
@@ -665,31 +631,7 @@ MesaController::runWithOptimization(Prepared &prep,
         if (prep.options.tile_factor < prep.max_tiles) {
             prep.options.tile_factor = std::min(
                 prep.max_tiles, prep.options.tile_factor * 2);
-            prep.config = config_block_.build(
-                prep.ldfg, prep.map.sdfg, prep.options,
-                os.region_start, os.region_end);
-            prep.config.model_latency = os.model_latency;
-            accel_.configure(prep.config);
-            config_cache_.insert(prep.config, prep.body_tag, prep.cert);
-            ++os.reconfigurations;
-            // With a shadow plane the bitstream streams during the
-            // previous epoch; only the swap stalls the array.
-            const uint64_t cost =
-                params_.shadow_config
-                    ? 1
-                    : config_block_.configCycles(prep.config);
-            os.reconfig_cycles += cost;
-            os.tile_factor = prep.config.tileCount();
-            emit(Event::Reconfig);
-            emit(Event::ReconfigCycles, cost);
-            if (Tracer::active())
-                tracer.span("mesa.ctrl",
-                            params_.shadow_config ? "shadow-swap"
-                                                  : "reconfig",
-                            cursor, cost,
-                            {{"tiles", os.tile_factor},
-                             {"reason", "tile-scale"}});
-            cursor += cost;
+            cursor += reconfigure(prep, nullptr, cursor, os);
             continue;
         }
 
@@ -703,48 +645,68 @@ MesaController::runWithOptimization(Prepared &prep,
                 {{"old_model_latency", outcome.old_model_latency},
                  {"new_model_latency", outcome.new_model_latency},
                  {"remapped", outcome.remapped ? 1 : 0}});
-        if (outcome.remapped) {
-            prep.map = outcome.map;
-            prep.config = config_block_.build(
-                prep.ldfg, prep.map.sdfg, prep.options,
-                os.region_start, os.region_end);
-            prep.config.model_latency = outcome.new_model_latency;
-            accel_.configure(prep.config);
-            config_cache_.insert(prep.config, prep.body_tag, prep.cert);
-            ++os.reconfigurations;
-            // Mapping runs on MESA concurrently with execution; the
-            // charged cost is the bitstream write (or the shadow
-            // swap) plus any mapping time not hidden by the epoch.
-            const uint64_t stream_cost =
-                params_.shadow_config
-                    ? 1
-                    : config_block_.configCycles(prep.config);
-            const uint64_t cost =
-                prep.map.mapping_cycles + stream_cost;
-            os.reconfig_cycles += cost;
-            os.model_latency = outcome.new_model_latency;
-            emit(Event::Reconfig);
-            emit(Event::OptimizerRemap);
-            emit(Event::ReconfigCycles, cost);
-            emit(Event::MappingCycles, prep.map.mapping_cycles);
-            emit(Event::ImapInstructions, prep.map.imap_trace.size());
-            if (Tracer::active()) {
-                tracer.span(
-                    "mesa.ctrl", "remap", cursor, cost,
-                    {{"model_latency", outcome.new_model_latency},
-                     {"mapping_cycles", prep.map.mapping_cycles},
-                     {"stream_cycles", stream_cost}});
-                emitImapTrace(tracer, "mesa.imap", prep.map.imap_trace,
-                              cursor);
-            }
-            cursor += cost;
-        }
+        if (outcome.remapped)
+            cursor += reconfigure(prep, &outcome, cursor, os);
     }
 
     // Shift the time base past the offload so the caller's timeline
     // (base + its own published cycle) resumes after the last epoch.
     if (Tracer::active())
         tracer.setBase(entry_base + (cursor - offload_start));
+    return cut;
+}
+
+uint64_t
+MesaController::reconfigure(Prepared &prep, const OptimizeOutcome *remap,
+                            uint64_t cursor, OffloadStats &os)
+{
+    // A tile scale keeps the offload's latency, which may differ from
+    // prep.map's: a config-cache hit carries a remapped one.
+    if (remap) {
+        prep.map = remap->map;
+        os.model_latency = remap->new_model_latency;
+    }
+    prep.config = config_block_.build(prep.ldfg, prep.map.sdfg,
+                                      prep.options, os.region_start,
+                                      os.region_end);
+    prep.config.model_latency = os.model_latency;
+    accel_.configure(prep.config);
+    config_cache_.insert(prep.config, prep.body_tag, prep.cert);
+    // With a shadow plane the bitstream streams during the previous
+    // epoch; only the swap stalls the array. A remap's mapping runs on
+    // MESA concurrently with execution; the charged cost is the
+    // bitstream write (or the swap) plus any mapping time not hidden
+    // by the epoch.
+    const uint64_t stream = params_.shadow_config
+                                ? 1
+                                : config_block_.configCycles(prep.config);
+    const uint64_t mapping = remap ? prep.map.mapping_cycles : 0;
+    const uint64_t cost = mapping + stream;
+    ++os.reconfigurations;
+    os.reconfig_cycles += cost;
+    emit(Event::Reconfig);
+    emit(Event::ReconfigCycles, cost);
+    Tracer &tracer = Tracer::global();
+    if (!remap) {
+        os.tile_factor = prep.config.tileCount();
+        if (Tracer::active())
+            tracer.span("mesa.ctrl",
+                        params_.shadow_config ? "shadow-swap" : "reconfig",
+                        cursor, cost,
+                        {{"tiles", os.tile_factor}, {"reason", "tile-scale"}});
+        return cost;
+    }
+    emit(Event::OptimizerRemap);
+    emit(Event::MappingCycles, mapping);
+    emit(Event::ImapInstructions, prep.map.imap_trace.size());
+    if (Tracer::active()) {
+        tracer.span("mesa.ctrl", "remap", cursor, cost,
+                    {{"model_latency", os.model_latency},
+                     {"mapping_cycles", mapping},
+                     {"stream_cycles", stream}});
+        emitImapTrace(tracer, "mesa.imap", prep.map.imap_trace, cursor);
+    }
+    return cost;
 }
 
 void
@@ -770,33 +732,27 @@ MesaController::onFaultDetected(OffloadStats &os)
               {"strikes",
                uint64_t(quarantine_.strikes(os.region_start))}});
     config_cache_.invalidate(os.region_start);
-    if (!params_.fault.self_test_on_fault) {
-        updateFaultGauges();
-        return;
-    }
-    emit(Event::SelfTest);
-    const std::vector<ic::Coord> bad = accel_.selfTest();
     size_t newly = 0;
-    for (const ic::Coord pos : bad)
-        newly += faulty_pes_.add(pos) ? 1 : 0;
-    if (newly == 0) {
-        updateFaultGauges();
-        return;
+    if (params_.fault.self_test_on_fault) {
+        emit(Event::SelfTest);
+        for (const ic::Coord pos : accel_.selfTest())
+            newly += faulty_pes_.add(pos) ? 1 : 0;
     }
-    // Permanent defects localized: retire the PEs from the mapper's
-    // free matrix, flush every cached placement (any of them may
-    // route through the dead hardware), and lift the region's
-    // sentence — with the root cause mapped around, the fabric
-    // deserves a fresh chance.
-    mapper_.setBlockedPes(faulty_pes_.coords());
-    config_cache_.clear();
-    quarantine_.clear(os.region_start);
-    DTRACE("controller", "self test retired " << newly << " PE(s), "
-                                              << faulty_pes_.size()
-                                              << " total");
-    emit(Event::PeQuarantine, newly,
-         {{"new_pes", uint64_t(newly)},
-          {"total_pes", uint64_t(faulty_pes_.size())}});
+    if (newly > 0) {
+        // Permanent defects localized: retire the PEs from the
+        // mapper's free matrix, flush every cached placement (any of
+        // them may route through the dead hardware), and lift the
+        // region's sentence — with the root cause mapped around, the
+        // fabric deserves a fresh chance.
+        mapper_.setBlockedPes(faulty_pes_.coords());
+        config_cache_.clear();
+        quarantine_.clear(os.region_start);
+        logDebug("controller", "self test retired ", newly, " PE(s), ",
+                 faulty_pes_.size(), " total");
+        emit(Event::PeQuarantine, newly,
+             {{"new_pes", uint64_t(newly)},
+              {"total_pes", uint64_t(faulty_pes_.size())}});
+    }
     updateFaultGauges();
 }
 
@@ -815,8 +771,11 @@ MesaController::relocatePrepared(Prepared &prep,
                                  const std::vector<Instruction> &body,
                                  bool parallel_hint, OffloadStats &os)
 {
-    if (body.empty())
+    if (!params_.fault.migrate_on_fault)
         return false;
+    // Quarantine strike + BIST first: retiring the root cause blocks
+    // it in the mapper.
+    onFaultDetected(os);
     emit(Event::Relocation);
     // Re-translate around whatever the self test retired. When BIST
     // localized nothing (transients and stuck control lines are not
@@ -847,11 +806,148 @@ MesaController::relocatePrepared(Prepared &prep,
             prep.encode_cycles + prep.map.mapping_cycles + stream,
             {{"pc", uint64_t(os.region_start)},
              {"blocked_pes", uint64_t(faulty_pes_.size())}});
-    DTRACE("controller", "relocated region 0x"
-                             << std::hex << os.region_start << std::dec
-                             << " around " << faulty_pes_.size()
-                             << " retired PE(s)");
+    logDebug("controller", "relocated region 0x", std::hex,
+             os.region_start, std::dec, " around ", faulty_pes_.size(),
+             " retired PE(s)");
     return true;
+}
+
+void
+MesaController::crcGate(Prepared &prep, const OffloadStats &os)
+{
+    // Campaign hook: model an SEU in the stored bitstream.
+    if (config_corruptor_)
+        config_corruptor_(prep.config);
+    if (!params_.fault.crc_check ||
+        accel::configCrc(prep.config) == prep.config.crc)
+        return;
+    emit(Event::CrcFailure, 1,
+         {{"pc", uint64_t(os.region_start)},
+          {"stored", uint64_t(prep.config.crc)}});
+    // The stored bitstream is corrupt, but the encoder-side LDFG and
+    // mapping are intact: rebuild the configuration from them (the
+    // build stamps a fresh CRC) and replace the poisoned cache entry.
+    config_cache_.invalidate(os.region_start);
+    prep.config =
+        prep.lower(config_block_, os.region_start, os.region_end);
+    config_cache_.insert(prep.config, prep.body_tag, prep.cert);
+}
+
+MesaController::GuardLimits
+MesaController::bindCertificate(const Prepared &prep,
+                                const riscv::ArchState &state,
+                                uint64_t max_iterations, OffloadStats &os)
+{
+    const fault::FaultToleranceParams &fp = params_.fault;
+    GuardLimits limits{max_iterations, fp.watchdog_cycles};
+    if (!fp.certificate_gating || !prep.cert || !prep.cert->converged)
+        return limits;
+    const absint::CertificateInstance inst = absint::instantiate(
+        *prep.cert, state, absint::residentRegion(*memory_));
+    limits.proven_in = inst.footprint == absint::RegionClass::ProvenIn;
+    os.certified = limits.proven_in;
+    if (inst.trips_finite) {
+        const uint64_t derived = absint::watchdogBudget(
+            *prep.cert, inst.trips, prep.options.time_multiplex);
+        if (derived > 0) {
+            os.cert_watchdog_budget = derived;
+            limits.cycles = fp.watchdog_cycles
+                                ? std::min(fp.watchdog_cycles, derived)
+                                : derived;
+            if (limits.cycles == derived)
+                emit(Event::BudgetTightened);
+        }
+        // Iteration watchdog: a clean run provably exits within
+        // inst.trips iterations from this entry state, so the fabric
+        // never needs more. Capping here turns a runaway loop
+        // (corrupted exit condition) into a detection after at most
+        // the proven trip count instead of letting it burn the whole
+        // cycle budget.
+        if (inst.trips > 0 && inst.trips < max_iterations) {
+            limits.iterations = inst.trips;
+            limits.trip_capped = true;
+        }
+    }
+    if (limits.proven_in)
+        emit(Event::Certified);
+    emit(Event::Certificate, 1,
+         {{"pc", uint64_t(os.region_start)},
+          {"proven_in", limits.proven_in ? 1 : 0},
+          {"trips", inst.trips_finite ? inst.trips : 0}});
+    return limits;
+}
+
+MesaController::Verdict
+MesaController::detect(bool cut, const GuardLimits &limits,
+                       const fault::Checkpoint &ckpt,
+                       riscv::ArchState &state, OffloadStats &os)
+{
+    // The proven trip count ran out without the loop exit firing:
+    // impossible for a clean run, so the offload hung.
+    os.trip_watchdog = limits.trip_capped && !cut && !os.accel.completed;
+    if (os.trip_watchdog)
+        emit(Event::TripWatchdog, 1,
+             {{"pc", uint64_t(os.region_start)},
+              {"trips", limits.iterations}});
+    if (cut || os.trip_watchdog) {
+        // Detection point 2: the offload hung (stuck control line) or
+        // overran its budget.
+        emit(Event::WatchdogTrip, 1,
+             {{"pc", uint64_t(os.region_start)},
+              {"cycles", os.accel_cycles}});
+        return Verdict::Hung;
+    }
+    // Detection point 3: golden-model comparison (DMR in time). Only
+    // a run that reached the loop exit is comparable — the golden
+    // model executes the region to its natural exit.
+    if (!params_.fault.checked_mode || !os.accel.completed)
+        return Verdict::Clean;
+    emit(Event::CheckedRun);
+    const riscv::ArchState accel_state = state;
+    // A proven-in-region footprint makes the page-by-page memory diff
+    // redundant as a recovery mechanism: restore + golden
+    // re-execution below always leaves memory at the golden result,
+    // so skipping the compare can never admit a silent corruption --
+    // it only forgoes counting a memory-only mismatch as a detected
+    // fault.
+    fault::MemSnapshot accel_pages;
+    if (!limits.proven_in)
+        accel_pages = memory_->snapshot();
+    ckpt.restore(state, *memory_);
+    cpuReexecute(state, os);
+    bool match = state == accel_state;
+    if (limits.proven_in) {
+        os.snapshot_skipped = true;
+        emit(Event::SnapshotSkip);
+    } else {
+        match = match && fault::memorySnapshotsEqual(memory_->snapshot(),
+                                                     accel_pages);
+    }
+    if (match)
+        return Verdict::Clean;
+    // state/memory already hold the golden result: detection and
+    // recovery coincide on this path.
+    emit(Event::GoldenMismatch, 1, {{"pc", uint64_t(os.region_start)}});
+    emit(Event::Rollback);
+    os.fallback = FallbackReason::FaultDetected;
+    return Verdict::Mismatch;
+}
+
+void
+MesaController::settle(Verdict verdict, bool relocated, OffloadStats &os)
+{
+    // The stats report how the last attempt ended.
+    os.accel.watchdog_tripped = verdict == Verdict::Hung;
+    if (verdict != Verdict::Clean) {
+        onFaultDetected(os);
+        return;
+    }
+    if (quarantine_.onSuccess(os.region_start))
+        emit(Event::RegionQuarantineExit, 1,
+             {{"pc", uint64_t(os.region_start)}});
+    if (relocated)
+        emit(Event::RelocationSuccess);
+    updateFaultGauges();
 }
 
 void
@@ -860,200 +956,84 @@ MesaController::runGuarded(Prepared &prep, riscv::ArchState &state,
                            const std::vector<Instruction> &body,
                            bool parallel_hint)
 {
-    const fault::FaultToleranceParams &fp = params_.fault;
-    if (!fp.enabled) {
-        runWithOptimization(prep, state, max_iterations, os);
-        if (os.accel.watchdog_tripped) {
-            // Device-level watchdog (always armed): the run was cut
-            // off with partial progress written back; the CPU resumes
-            // the loop from there. Surface the reason even without
-            // fault mode.
+    if (!params_.fault.enabled) {
+        // Only the device-level watchdog (always armed) guards the
+        // run: a cut leaves partial progress written back, and the
+        // CPU resumes the loop from there.
+        if (runWithOptimization(prep, state, max_iterations, os)) {
             os.fallback = FallbackReason::Watchdog;
             emit(fallbackEvent(os.fallback));
         }
         return;
     }
-
-    // Campaign hook: model an SEU in the stored bitstream.
-    if (config_corruptor_)
-        config_corruptor_(prep.config);
-
-    // Detection point 1: re-derive the CRC before streaming.
-    if (fp.crc_check &&
-        accel::configCrc(prep.config) != prep.config.crc) {
-        emit(Event::CrcFailure, 1,
-             {{"pc", uint64_t(os.region_start)},
-              {"stored", uint64_t(prep.config.crc)}});
-        // The stored bitstream is corrupt, but the encoder-side LDFG
-        // and mapping are intact: rebuild the configuration from them
-        // and replace the poisoned cache entry.
-        config_cache_.invalidate(os.region_start);
-        prep.config =
-            prep.lower(config_block_, os.region_start, os.region_end);
-        if (accel::configCrc(prep.config) != prep.config.crc) {
-            // The rebuild is corrupt too (encoder-path fault): nothing
-            // trustworthy to stream; execute on the CPU.
-            os.fallback = FallbackReason::FaultDetected;
-            onFaultDetected(os);
-            cpuReexecute(state, os);
-            return;
-        }
-        config_cache_.insert(prep.config, prep.body_tag, prep.cert);
-    }
-
-    // Certificate gate: bind the static proof to this entry state
-    // and the currently-resident memory region. A proven-in-region
-    // footprint licenses skipping the golden memory-snapshot compare
-    // below; a finite trip proof derives a per-offload watchdog
-    // budget that can only tighten the configured one.
-    bool mem_proven_in = false;
-    uint64_t watchdog_budget = fp.watchdog_cycles;
-    uint64_t effective_max = max_iterations;
-    bool trip_cap_armed = false;
-    if (fp.certificate_gating && prep.cert && prep.cert->converged) {
-        const absint::CertificateInstance inst = absint::instantiate(
-            *prep.cert, state, absint::residentRegion(*memory_));
-        mem_proven_in =
-            inst.footprint == absint::RegionClass::ProvenIn;
-        os.certified = mem_proven_in;
-        if (inst.trips_finite) {
-            const uint64_t derived = absint::watchdogBudget(
-                *prep.cert, inst.trips, prep.options.time_multiplex);
-            if (derived > 0) {
-                os.cert_watchdog_budget = derived;
-                watchdog_budget =
-                    fp.watchdog_cycles
-                        ? std::min(fp.watchdog_cycles, derived)
-                        : derived;
-                if (watchdog_budget == derived)
-                    emit(Event::BudgetTightened);
-            }
-            // Iteration watchdog: a clean run provably exits within
-            // inst.trips iterations from this entry state, so the
-            // fabric never needs more. Capping here turns a runaway
-            // loop (corrupted exit condition) into a detection after
-            // at most the proven trip count instead of letting it
-            // burn the whole cycle budget.
-            if (inst.trips > 0 && inst.trips < max_iterations) {
-                effective_max = inst.trips;
-                trip_cap_armed = true;
-            }
-        }
-        if (mem_proven_in)
-            emit(Event::Certified);
-        emit(Event::Certificate, 1,
-             {{"pc", uint64_t(os.region_start)},
-              {"proven_in", mem_proven_in ? 1 : 0},
-              {"trips", inst.trips_finite ? inst.trips : 0}});
-    }
-
-    // Checkpoint before handing control to the fabric. The same
-    // snapshot serves rollback AND relocation: a drained offload
-    // resumes from it on the re-translated placement.
+    crcGate(prep, os); // Detection point 1.
+    const GuardLimits limits =
+        bindCertificate(prep, state, max_iterations, os);
+    // The same checkpoint serves rollback and relocation: a drained
+    // offload resumes from it on the re-translated placement.
     const fault::Checkpoint ckpt =
         fault::Checkpoint::capture(state, *memory_);
-
-    const int max_attempts =
-        fp.migrate_on_fault && !body.empty() ? 2 : 1;
-    bool faulted = false;
+    auto attempt = [&] {
+        const bool cut = runWithOptimization(prep, state, limits.iterations,
+                                             os, limits.cycles);
+        return detect(cut, limits, ckpt, state, os);
+    };
+    Verdict verdict = attempt();
     bool relocated = false;
-    for (int attempt = 0; attempt < max_attempts; ++attempt) {
-
-    const uint64_t iters_before = os.accel_iterations;
-    runWithOptimization(prep, state, effective_max, os,
-                        watchdog_budget);
-
-    if (trip_cap_armed && !os.accel.completed &&
-        !os.accel.watchdog_tripped &&
-        os.accel_iterations - iters_before >= effective_max) {
-        // The proven trip budget is exhausted without the loop exit
-        // firing — impossible for a clean run; treat it exactly like
-        // a cycle-watchdog trip (rollback + CPU re-execution below).
-        os.trip_watchdog = true;
-        os.accel.watchdog_tripped = true;
-        emit(Event::TripWatchdog, 1,
-             {{"pc", uint64_t(os.region_start)},
-              {"trips", effective_max}});
-    }
-
-    if (os.accel.watchdog_tripped) {
-        // Detection point 2: the offload hung (stuck control line) or
-        // overran its budget. Roll back; then either drain-and-
-        // relocate (migrate_on_fault, first attempt) or re-execute on
-        // the CPU.
-        emit(Event::WatchdogTrip, 1,
-             {{"pc", uint64_t(os.region_start)},
-              {"cycles", os.accel_cycles}});
+    while (verdict == Verdict::Hung) {
+        // The one recovery path: roll back, then relocate and retry
+        // once, otherwise re-execute the region on the CPU.
         emit(Event::Rollback);
         emit(Event::WatchdogRollback, 1,
              {{"pc", uint64_t(os.region_start)}});
         os.fallback = FallbackReason::Watchdog;
         ckpt.restore(state, *memory_);
-        if (attempt + 1 < max_attempts) {
-            // Quarantine strike + BIST first (retiring the root cause
-            // blocks it in the mapper), then re-translate and resume
-            // from the restored checkpoint on the new placement.
-            onFaultDetected(os);
-            if (relocatePrepared(prep, body, parallel_hint, os)) {
-                os.accel.watchdog_tripped = false;
-                os.trip_watchdog = false;
-                relocated = true;
-                continue;
-            }
+        if (relocated || !relocatePrepared(prep, body, parallel_hint, os)) {
+            cpuReexecute(state, os);
+            break;
         }
-        cpuReexecute(state, os);
-        faulted = true;
-    } else if (fp.checked_mode && os.accel.completed) {
-        // Detection point 3: golden-model comparison (DMR in time).
-        // Only a run that reached the loop exit is comparable — the
-        // golden model executes the region to its natural exit.
-        emit(Event::CheckedRun);
-        const riscv::ArchState accel_state = state;
-        // A proven-in-region footprint makes the page-by-page memory
-        // diff redundant as a recovery mechanism: restore + golden
-        // re-execution below always leaves memory at the golden
-        // result, so skipping the compare can never admit a silent
-        // corruption -- it only forgoes counting a memory-only
-        // mismatch as a detected fault.
-        const bool skip_snapshot = mem_proven_in;
-        fault::MemSnapshot accel_pages;
-        if (!skip_snapshot)
-            accel_pages = memory_->snapshot();
-        ckpt.restore(state, *memory_);
-        cpuReexecute(state, os);
-        bool match = state == accel_state;
-        if (skip_snapshot) {
-            os.snapshot_skipped = true;
-            emit(Event::SnapshotSkip);
-        } else {
-            match = match &&
-                    fault::memorySnapshotsEqual(memory_->snapshot(),
-                                                accel_pages);
-        }
-        if (!match) {
-            // state/memory already hold the golden result: detection
-            // and recovery coincide on this path.
-            emit(Event::GoldenMismatch, 1,
-                 {{"pc", uint64_t(os.region_start)}});
-            emit(Event::Rollback);
-            os.fallback = FallbackReason::FaultDetected;
-            faulted = true;
-        }
+        relocated = true;
+        verdict = attempt();
     }
+    settle(verdict, relocated, os);
+}
 
-    break;
-    } // attempt loop
+void
+MesaController::runInline(Prepared &prep, riscv::ArchState &state,
+                          uint64_t max_iterations, OffloadStats &os,
+                          const std::vector<Instruction> &body,
+                          bool parallel_hint)
+{
+    emit(Event::Offload);
+    // Attribute the attached profile's device-cycle growth to this
+    // offload.
+    std::array<uint64_t, 3> mark{};
+    if (profile_)
+        mark = {profile_->compute_cycles, profile_->noc_stall_cycles,
+                profile_->mem_stall_cycles};
+    runGuarded(prep, state, max_iterations, os, body, parallel_hint);
+    if (!profile_)
+        return;
+    os.prof_compute_cycles = profile_->compute_cycles - mark[0];
+    os.prof_noc_stall_cycles = profile_->noc_stall_cycles - mark[1];
+    os.prof_mem_stall_cycles = profile_->mem_stall_cycles - mark[2];
+}
 
-    if (faulted) {
-        onFaultDetected(os);
-    } else {
-        if (quarantine_.onSuccess(os.region_start))
-            emit(Event::RegionQuarantineExit, 1,
-                 {{"pc", uint64_t(os.region_start)}});
-        if (relocated)
-            emit(Event::RelocationSuccess);
-    }
-    updateFaultGauges();
+std::optional<OffloadStats>
+MesaController::serveShared(const std::vector<Instruction> &body,
+                            riscv::ArchState &state, bool parallel_hint,
+                            uint64_t max_iterations)
+{
+    const OffloadRequest req{.tenant = tenant_id_,
+                             .priority = tenant_priority_,
+                             .body = body,
+                             .state = &state,
+                             .parallel_hint = parallel_hint,
+                             .max_iterations = max_iterations};
+    auto served = arbiter_->serve(req);
+    if (served)
+        emit(Event::Offload);
+    return served;
 }
 
 std::optional<MesaController::Prepared>
@@ -1090,21 +1070,10 @@ MesaController::offloadLoop(const std::vector<Instruction> &body,
 {
     if (body.empty())
         return std::nullopt;
-    if (arbiter_) {
-        // Multi-tenant mode: enqueue with the shared arbiter instead
-        // of running inline on the private accelerator.
-        OffloadRequest req;
-        req.tenant = tenant_id_;
-        req.priority = tenant_priority_;
-        req.body = body;
-        req.state = &state;
-        req.parallel_hint = parallel_hint;
-        req.max_iterations = max_iterations;
-        auto served = arbiter_->serve(req);
-        if (served)
-            emit(Event::Offload);
-        return served;
-    }
+    // Multi-tenant mode: enqueue with the shared arbiter instead of
+    // running inline on the private accelerator.
+    if (arbiter_)
+        return serveShared(body, state, parallel_hint, max_iterations);
     const uint32_t region_start = body.front().pc;
     const uint32_t region_end = body.back().pc + 4;
 
@@ -1135,11 +1104,7 @@ MesaController::offloadLoop(const std::vector<Instruction> &body,
     const uint64_t t1 = tracePreparePhases(prep, os, t0);
     if (Tracer::active())
         tracer.setBase(tracer.base() + (t1 - t0));
-    emit(Event::Offload);
-
-    const auto prof_mark = profileMark();
-    runGuarded(prep, state, max_iterations, os, body, parallel_hint);
-    profileCapture(prof_mark, os);
+    runInline(prep, state, max_iterations, os, body, parallel_hint);
     return os;
 }
 
@@ -1217,25 +1182,17 @@ MesaController::runTransparent(const riscv::Program &program,
         if (arbiter_) {
             // Multi-tenant mode: the shared arbiter owns the device;
             // enqueue the region and resume the CPU when it returns.
-            OffloadRequest req;
-            req.tenant = tenant_id_;
-            req.priority = tenant_priority_;
-            req.body = body;
-            req.state = &emu.state();
-            req.parallel_hint = parallel_hint;
             if (Tracer::active()) {
                 const uint64_t handoff = tracer.now();
                 if (handoff > cpu_seg_start)
                     tracer.span("cpu0", "execute", cpu_seg_start,
                                 handoff - cpu_seg_start);
             }
-            auto served = arbiter_->serve(req);
-            if (served) {
-                emit(Event::Offload);
+            if (auto served = serveShared(body, emu.state(), parallel_hint,
+                                          ~uint64_t(0)))
                 result.offloads.push_back(*served);
-            } else {
+            else
                 monitor.blacklist(loop.start);
-            }
             cpu_seg_start = tracer.now();
             monitor.rearm();
             continue;
@@ -1309,11 +1266,7 @@ MesaController::runTransparent(const riscv::Program &program,
                              {"config_cycles",
                               os.totalConfigCycles()}});
         }
-        emit(Event::Offload);
-        const auto prof_mark = profileMark();
-        runGuarded(prep, emu.state(), ~uint64_t(0), os, body,
-                   parallel_hint);
-        profileCapture(prof_mark, os);
+        runInline(prep, emu.state(), ~uint64_t(0), os, body, parallel_hint);
         cpu_seg_start = tracer.now();
         result.offloads.push_back(os);
         monitor.rearm();

@@ -13,7 +13,6 @@
 #ifndef MESA_MESA_CONTROLLER_HH
 #define MESA_MESA_CONTROLLER_HH
 
-#include <array>
 #include <functional>
 #include <initializer_list>
 #include <map>
@@ -37,6 +36,11 @@
 #include "util/stats.hh"
 #include "util/stats_registry.hh"
 #include "util/trace.hh"
+
+namespace mesa::fault
+{
+struct Checkpoint;
+} // namespace mesa::fault
 
 namespace mesa::core
 {
@@ -499,29 +503,94 @@ class MesaController
 
     /** Run the configured region with iterative optimization.
      *  @param cycle_budget per-offload fabric watchdog budget (0 =
-     *         only the device-level cap applies); on a trip the epoch
-     *         loop stops and os.accel.watchdog_tripped is set. */
-    void runWithOptimization(Prepared &prep, riscv::ArchState &state,
+     *         only the device-level cap applies)
+     *  @return true when a watchdog cut the run short */
+    bool runWithOptimization(Prepared &prep, riscv::ArchState &state,
                              uint64_t max_iterations, OffloadStats &os,
                              uint64_t cycle_budget = 0);
 
     /**
-     * Fault-tolerant offload dispatch: applies the CRC gate, captures
-     * a checkpoint, runs with the watchdog budget, optionally checks
-     * the result against the golden model, and on any detected fault
-     * rolls back + re-executes on the CPU and updates the quarantine
-     * state. Plain runWithOptimization when fault mode is off.
+     * Install a rebuilt configuration mid-offload: the optimizer's
+     * @p remap (its map and latency), or with nullptr a tile scale
+     * from prep.options. Configures the fabric, caches the config,
+     * charges the swap to @p os and traces it at @p cursor.
+     * @return the cycles charged
+     */
+    uint64_t reconfigure(Prepared &prep, const OptimizeOutcome *remap,
+                         uint64_t cursor, OffloadStats &os);
+
+    /** Count the offload and run it inline under the guard, capturing
+     *  the attached profile's device-cycle attribution into @p os. */
+    void runInline(Prepared &prep, riscv::ArchState &state,
+                   uint64_t max_iterations, OffloadStats &os,
+                   const std::vector<riscv::Instruction> &body,
+                   bool parallel_hint);
+
+    /** Enqueue the region with the attached arbiter; counts it as an
+     *  offload when served. */
+    std::optional<OffloadStats> serveShared(
+        const std::vector<riscv::Instruction> &body,
+        riscv::ArchState &state, bool parallel_hint,
+        uint64_t max_iterations);
+
+    /** How a guarded attempt ended. */
+    enum class Verdict
+    {
+        Clean,    ///< Ran (and, checked, matched the golden model).
+        Hung,     ///< A watchdog or the proven trip count cut it.
+        Mismatch, ///< Diverged from the golden model (now restored).
+    };
+
+    /** What the certificate binds for one guarded offload. */
+    struct GuardLimits
+    {
+        uint64_t iterations; ///< Iteration cap for every attempt.
+        uint64_t cycles;     ///< Watchdog budget (0 = device cap).
+        bool trip_capped = false; ///< iterations is the proven trip count.
+        bool proven_in = false;   ///< Footprint proven in-region.
+    };
+
+    /**
+     * Fault-tolerant offload dispatch, as steps: the CRC gate, the
+     * certificate binding, a checkpoint, an attempt (run + detect),
+     * the one recovery path for a hung attempt (roll back, relocate
+     * and retry once, else re-execute on the CPU), and settle. Plain
+     * runWithOptimization when fault mode is off. @p body must be the
+     * region's non-empty body (relocation re-translates it).
      */
     void runGuarded(Prepared &prep, riscv::ArchState &state,
                     uint64_t max_iterations, OffloadStats &os,
-                    const std::vector<riscv::Instruction> &body = {},
-                    bool parallel_hint = false);
+                    const std::vector<riscv::Instruction> &body,
+                    bool parallel_hint);
+
+    /** Detection point 1: run the corruptor hook, re-derive the CRC
+     *  and on a mismatch rebuild the config from the intact mapping. */
+    void crcGate(Prepared &prep, const OffloadStats &os);
+
+    /** Bind the static certificate (when gating) to the entry state
+     *  and the resident memory: iteration cap, watchdog budget and
+     *  whether the footprint is proven in-region. */
+    GuardLimits bindCertificate(const Prepared &prep,
+                                const riscv::ArchState &state,
+                                uint64_t max_iterations, OffloadStats &os);
+
+    /** Judge one attempt: hung (watchdog @p cut or the trip cap) or,
+     *  in checked mode, the golden compare, which leaves the golden
+     *  result in @p state and memory. */
+    Verdict detect(bool cut, const GuardLimits &limits,
+                   const fault::Checkpoint &ckpt, riscv::ArchState &state,
+                   OffloadStats &os);
+
+    /** Record the final verdict: fault bookkeeping, or a quarantine
+     *  success (and a relocation success). */
+    void settle(Verdict verdict, bool relocated, OffloadStats &os);
 
     /**
-     * Drain-and-relocate (fault.migrate_on_fault): after a watchdog
-     * trip retired PEs, re-translate @p body around the blocked set
-     * and swap the relocated placement into @p prep, charging the
-     * re-translation to @p os and the mesa.migrate.* counters.
+     * Drain-and-relocate (fault.migrate_on_fault): strike the region
+     * and run the self test, then re-translate @p body around the
+     * blocked set and swap the relocated placement into @p prep,
+     * charging the re-translation to @p os and the mesa.migrate.*
+     * counters.
      * @return true when a relocated placement was installed (the
      *         caller re-runs from the restored checkpoint)
      */
@@ -532,16 +601,6 @@ class MesaController
     /** Execute [region_start, region_end) on the functional emulator
      *  from @p state (the recovery path after a rollback). */
     void cpuReexecute(riscv::ArchState &state, OffloadStats &os);
-
-    /**
-     * Capture the attached profile's device-cycle attribution before
-     * a guarded run (profileMark) and store the growth into the
-     * offload's prof_* fields afterwards (profileCapture). No-ops
-     * without an attached profile.
-     */
-    std::array<uint64_t, 3> profileMark() const;
-    void profileCapture(const std::array<uint64_t, 3> &mark,
-                        OffloadStats &os) const;
 
     /** Post-detection bookkeeping: fallback stats, quarantine strike,
      *  cache invalidation, and the self test -> PE retirement path. */

@@ -4,7 +4,6 @@
 #include <limits>
 #include <tuple>
 
-#include "util/debug.hh"
 #include "util/logging.hh"
 
 namespace mesa::core
@@ -195,11 +194,9 @@ InstructionMapper::map(const Ldfg &ldfg) const
         MESA_ASSERT(placed, "mapper: chosen position was not free");
         res.completion[idx] = min_latency;
         cursor = min_pos;
-        DTRACE("mapper", "i" << id << " "
-                             << riscv::opName(node.inst.op) << " -> ("
-                             << min_pos.r << "," << min_pos.c
-                             << ") L=" << min_latency << " ("
-                             << candidates << " candidates)");
+        logDebug("mapper", "i", id, " ", riscv::opName(node.inst.op),
+                 " -> (", min_pos.r, ",", min_pos.c, ") L=", min_latency,
+                 " (", candidates, " candidates)");
     }
 
     res.mapping_cycles = fsm.totalCycles();

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "mesa/translate.hh"
-#include "util/debug.hh"
 #include "util/logging.hh"
 #include "util/trace.hh"
 
@@ -178,9 +177,8 @@ MultiTenantScheduler::submit(
             *tr, t.config, part_params_, *part_ic_);
         if (!report.clean()) {
             ++verify_rejects_;
-            DTRACE("sched", "verify gate refused region 0x"
-                                << std::hex << region_start << std::dec
-                                << ": " << report.summary());
+            logDebug("sched", "verify gate refused region 0x", std::hex,
+                     region_start, std::dec, ": ", report.summary());
             return -1;
         }
     }

@@ -31,26 +31,21 @@ archStateDigest(const riscv::ArchState &state)
     return crc.value();
 }
 
-/** CRC of the memory image, page-sorted and zero-page-normalized so
- *  the digest depends only on content, not on touch order. Reads the
- *  resident pages in place. */
+/** CRC of the memory image, in page order and zero-page-normalized
+ *  so the digest depends only on content, not on touch order. Streams
+ *  the resident pages in place (forEachPage visits them ascending). */
 uint64_t
 memoryDigest(const mem::MainMemory &memory)
 {
-    using Page = std::span<const uint8_t, mem::MainMemory::PageSize>;
-    std::vector<std::pair<uint32_t, Page>> pages;
-    pages.reserve(memory.residentPages());
-    memory.forEachPage([&](uint32_t pn, Page bytes) {
-        if (!mem::isZeroPage(bytes))
-            pages.emplace_back(pn, bytes);
-    });
-    std::sort(pages.begin(), pages.end(),
-              [](const auto &a, const auto &b) { return a.first < b.first; });
     Crc32 crc;
-    for (const auto &[pn, bytes] : pages) {
-        crc.add32(pn);
-        crc.addBytes(bytes.data(), bytes.size());
-    }
+    memory.forEachPage(
+        [&](uint32_t pn, std::span<const uint8_t, mem::MainMemory::PageSize>
+                             bytes) {
+            if (mem::isZeroPage(bytes))
+                return;
+            crc.add32(pn);
+            crc.addBytes(bytes.data(), bytes.size());
+        });
     return crc.value();
 }
 

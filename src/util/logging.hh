@@ -21,6 +21,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace mesa
 {
@@ -95,7 +96,7 @@ enum class LogLevel
     Error = 0, ///< Unexpected but survivable condition.
     Warn = 1,  ///< Functionality might not behave as expected.
     Info = 2,  ///< Normal status messages.
-    Debug = 3, ///< Verbose diagnostics (DTRACE covers categories).
+    Debug = 3, ///< Verbose diagnostics (controller decisions, mapper).
 };
 
 inline const char *
@@ -167,13 +168,14 @@ class Logger
     }
 
     void
-    write(LogLevel level, const std::string &subsystem,
+    write(LogLevel level, std::string_view subsystem,
           const std::string &message)
     {
         // Compose first so one << keeps the line atomic per stream
         // guarantee under the lock.
-        std::string line = std::string(logLevelName(level)) + ": [" +
-                           subsystem + "] " + message + "\n";
+        std::string line = std::string(logLevelName(level)) + ": [";
+        line += subsystem;
+        line += "] " + message + "\n";
         std::lock_guard<std::mutex> lock(m_);
         *stream_ << line;
     }
@@ -195,7 +197,7 @@ class Logger
 /** Log at an explicit level with a subsystem tag. */
 template <typename... Args>
 void
-logAt(LogLevel level, const std::string &subsystem, const Args &...args)
+logAt(LogLevel level, std::string_view subsystem, const Args &...args)
 {
     Logger &logger = Logger::global();
     if (!logger.enabled(level))
@@ -205,28 +207,28 @@ logAt(LogLevel level, const std::string &subsystem, const Args &...args)
 
 template <typename... Args>
 void
-logError(const std::string &subsystem, const Args &...args)
+logError(std::string_view subsystem, const Args &...args)
 {
     logAt(LogLevel::Error, subsystem, args...);
 }
 
 template <typename... Args>
 void
-logWarn(const std::string &subsystem, const Args &...args)
+logWarn(std::string_view subsystem, const Args &...args)
 {
     logAt(LogLevel::Warn, subsystem, args...);
 }
 
 template <typename... Args>
 void
-logInfo(const std::string &subsystem, const Args &...args)
+logInfo(std::string_view subsystem, const Args &...args)
 {
     logAt(LogLevel::Info, subsystem, args...);
 }
 
 template <typename... Args>
 void
-logDebug(const std::string &subsystem, const Args &...args)
+logDebug(std::string_view subsystem, const Args &...args)
 {
     logAt(LogLevel::Debug, subsystem, args...);
 }

@@ -5,7 +5,8 @@
  * the whole timeline exports as Chrome trace-event JSON (load it in
  * Perfetto or chrome://tracing). Tracing is off by default and the
  * active() check is the only cost at an instrumented site — the same
- * idiom as DTRACE, so disabled runs pay nothing measurable.
+ * idiom as the logger's level check, so disabled runs pay nothing
+ * measurable.
  *
  * Timeline model: the simulator has no global cycle loop (see
  * ARCHITECTURE.md "Timing philosophy"), so the tracer keeps a *time

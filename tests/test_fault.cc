@@ -8,6 +8,12 @@
  * corruption guarantee of checked mode.
  */
 
+#include <algorithm>
+#include <bit>
+#include <iomanip>
+#include <map>
+#include <sstream>
+
 #include <gtest/gtest.h>
 
 #include "fault/campaign.hh"
@@ -16,7 +22,9 @@
 #include "fault/quarantine.hh"
 #include "helpers.hh"
 #include "sched/scheduler.hh"
+#include "util/crc32.hh"
 #include "util/stats_registry.hh"
+#include "util/trace.hh"
 
 using namespace mesa;
 using namespace mesa::test;
@@ -621,4 +629,424 @@ TEST(Campaign, CheckedModeHasNoSilentCorruption)
     EXPECT_EQ(result.totalCorrupted(), 0);
     EXPECT_EQ(result.totalRemapChecks(), result.totalRemapClean());
     EXPECT_TRUE(result.clean());
+}
+
+// ---------------------------------------------------------------------
+// Guard exits, pinned byte for byte: one offload through each way out
+// of the guarded dispatch (clean, checked match and mismatch, CRC
+// rebuild, watchdog rollback, relocation that fails or succeeds,
+// certificate snapshot skip and trip watchdog, quarantine, and the
+// device watchdog without fault mode). Each row holds the offload's
+// guard fields, every guard counter, the trace the offload recorded
+// and CRCs of the state and memory it left behind. The rows were
+// recorded from the single-function guard that the steps replace.
+
+namespace
+{
+
+struct GuardRow
+{
+    int fallback;
+    bool watchdog_tripped, completed, trip_watchdog, certified,
+        snapshot_skipped;
+    uint64_t cert_watchdog_budget, cpu_reexec_instructions,
+        accel_iterations, accel_cycles, encode_cycles, mapping_cycles,
+        config_cycles, reconfig_cycles;
+    int reconfigurations, tile_factor;
+    double model_latency;
+    /** Non-zero mesa.{fault,absint,migrate,fallback}.* values, in
+     *  path order, and how many such paths the registry holds. */
+    std::string counters;
+    size_t counter_paths;
+    /** Instants on the mesa.fault and mesa.absint tracks, in order. */
+    std::string instants;
+    uint32_t trace_crc;  ///< Every event the offload recorded.
+    uint32_t state_crc;  ///< Registers and pc after the offload.
+    uint32_t memory_crc; ///< Every non-zero page after the offload.
+
+    bool operator==(const GuardRow &) const = default;
+};
+
+std::ostream &
+operator<<(std::ostream &os, const GuardRow &r)
+{
+    return os << std::boolalpha << std::setprecision(17) << "{"
+              << r.fallback << ", " << r.watchdog_tripped << ", "
+              << r.completed << ", " << r.trip_watchdog << ", "
+              << r.certified << ", " << r.snapshot_skipped << ", "
+              << r.cert_watchdog_budget << ", "
+              << r.cpu_reexec_instructions << ", " << r.accel_iterations
+              << ", " << r.accel_cycles << ", " << r.encode_cycles
+              << ", " << r.mapping_cycles << ", " << r.config_cycles
+              << ", " << r.reconfig_cycles << ", " << r.reconfigurations
+              << ", " << r.tile_factor << ", " << r.model_latency
+              << ",\n \"" << r.counters << "\",\n " << r.counter_paths
+              << ", \"" << r.instants << "\",\n " << std::hex << "0x"
+              << r.trace_crc << ", 0x" << r.state_crc << ", 0x"
+              << r.memory_crc << std::dec << "}";
+}
+
+uint32_t
+stateCrc(const riscv::ArchState &state)
+{
+    Crc32 c;
+    for (size_t reg = 0; reg < 32; ++reg) {
+        c.add32(state.x[reg]);
+        c.add32(state.f[reg]);
+    }
+    c.add32(state.pc);
+    return c.value();
+}
+
+uint32_t
+memoryCrc(const mem::MainMemory &memory)
+{
+    std::map<uint32_t, const std::vector<uint8_t> *> pages;
+    const auto snap = memory.snapshot();
+    for (const auto &[pn, bytes] : snap)
+        if (std::ranges::any_of(bytes, [](uint8_t b) { return b != 0; }))
+            pages.emplace(pn, &bytes);
+    Crc32 c;
+    for (const auto &[pn, bytes] : pages) {
+        c.add32(pn);
+        c.addBytes(bytes->data(), bytes->size());
+    }
+    return c.value();
+}
+
+uint32_t
+traceCrc(const Tracer &tracer)
+{
+    Crc32 c;
+    auto addString = [&c](const std::string &s) {
+        c.add64(s.size());
+        c.addBytes(s.data(), s.size());
+    };
+    for (const TraceEvent &ev : tracer.events()) {
+        addString(tracer.tracks()[ev.track]);
+        addString(ev.name);
+        c.add32(ev.instant ? 1 : 0);
+        c.add64(ev.start);
+        c.add64(ev.duration);
+        for (const TraceArg &a : ev.args) {
+            addString(a.key);
+            addString(a.str);
+            c.add64(std::bit_cast<uint64_t>(a.num));
+        }
+    }
+    return c.value();
+}
+
+GuardRow
+guardRow(const core::OffloadStats &os, const StatsRegistry &stats,
+         const riscv::ArchState &state, const mem::MainMemory &memory)
+{
+    std::ostringstream counters;
+    size_t paths = 0;
+    for (const auto &[path, value] : stats.flatValues()) {
+        const bool guard = path.starts_with("mesa.fault.") ||
+                           path.starts_with("mesa.absint.") ||
+                           path.starts_with("mesa.migrate.") ||
+                           path.starts_with("mesa.fallback.");
+        if (!guard)
+            continue;
+        ++paths;
+        if (value != 0.0)
+            counters << (counters.tellp() > 0 ? " " : "")
+                     << path.substr(5) << "=" << value;
+    }
+    const Tracer &tracer = Tracer::global();
+    std::string instants;
+    for (const TraceEvent &ev : tracer.events()) {
+        const std::string &track = tracer.tracks()[ev.track];
+        if (ev.instant && (track == "mesa.fault" || track == "mesa.absint"))
+            instants += (instants.empty() ? "" : " ") + ev.name;
+    }
+    return {int(os.fallback),
+            os.accel.watchdog_tripped,
+            os.accel.completed,
+            os.trip_watchdog,
+            os.certified,
+            os.snapshot_skipped,
+            os.cert_watchdog_budget,
+            os.cpu_reexec_instructions,
+            os.accel_iterations,
+            os.accel_cycles,
+            os.encode_cycles,
+            os.mapping_cycles,
+            os.config_cycles,
+            os.reconfig_cycles,
+            os.reconfigurations,
+            os.tile_factor,
+            os.model_latency,
+            counters.str(),
+            paths,
+            instants,
+            traceCrc(tracer),
+            stateCrc(state),
+            memoryCrc(memory)};
+}
+
+enum class Exit
+{
+    CleanUnchecked,
+    CheckedMatch,
+    CheckedMismatch,
+    CrcRebuild,
+    WatchdogToCpu,
+    RelocateFails,
+    RelocateSucceeds,
+    CertifiedSkip,
+    TripWatchdog,
+    Quarantined,
+    DeviceWatchdog,
+};
+
+struct GuardCase
+{
+    const char *name;
+    Exit exit;
+    GuardRow row;
+};
+
+/** Fault mode on, unchecked, with a short watchdog. */
+core::MesaParams
+guardParams()
+{
+    core::MesaParams p;
+    p.fault.enabled = true;
+    p.fault.checked_mode = false;
+    p.fault.watchdog_cycles = 20'000;
+    return p;
+}
+
+void
+stickBranch(core::MesaController &mesa, uint64_t from_iteration)
+{
+    accel::FaultPlane plane;
+    plane.stuck_branches.push_back({from_iteration});
+    mesa.accelerator().injectFaults(plane);
+}
+
+/**
+ * Drive one offload out of the guard through @p exit, with a fresh
+ * tracer, and observe it. Also check that the CPU, resuming from the
+ * state the offload left, finishes the kernel exactly as the
+ * reference does.
+ */
+GuardRow
+runGuardExit(Exit exit)
+{
+    const char *name =
+        exit == Exit::WatchdogToCpu || exit == Exit::RelocateFails ||
+                exit == Exit::TripWatchdog || exit == Exit::Quarantined
+            ? "hotspot"
+            : "nn";
+    const Kernel kernel = kernelByName(
+        name, {exit == Exit::DeviceWatchdog ? 2048u : 256u});
+    core::MesaParams params = guardParams();
+    switch (exit) {
+      case Exit::CleanUnchecked:
+      case Exit::CrcRebuild:
+      case Exit::WatchdogToCpu:
+      case Exit::Quarantined:
+        break;
+      case Exit::CheckedMatch:
+      case Exit::CheckedMismatch:
+        params.fault.checked_mode = true;
+        break;
+      case Exit::RelocateFails:
+        params.fault.migrate_on_fault = true;
+        break;
+      case Exit::RelocateSucceeds:
+        // One placement, so the stuck PE keeps hosting the induction
+        // update until the self test retires it.
+        params.fault.migrate_on_fault = true;
+        params.enable_tiling = false;
+        params.iterative_optimization = false;
+        break;
+      case Exit::CertifiedSkip:
+      case Exit::TripWatchdog:
+        params.fault.checked_mode = true;
+        params.fault.certificate_gating = true;
+        params.fault.watchdog_cycles = 3'200'000;
+        break;
+      case Exit::DeviceWatchdog:
+        params.fault.enabled = false;
+        params.accel.watchdog_cycles = 500;
+        break;
+    }
+
+    ic::Coord induction_pe;
+    if (exit == Exit::RelocateSucceeds) {
+        // The PE that advances a0 (slot 9: addi a0, a0, 4) on the
+        // placement the guarded run will use.
+        core::MesaParams probe_params = params;
+        probe_params.fault = {};
+        auto probe = park(kernel, probe_params);
+        EXPECT_TRUE(probe.mesa->offloadLoop(kernel.loopBody(),
+                                            probe.emu->state(),
+                                            kernel.parallel));
+        induction_pe = probe.mesa->accelerator().config().slots[9].pos;
+    }
+
+    StatsRegistry stats;
+    auto run = park(kernel, params, &stats);
+    Tracer &tracer = Tracer::global();
+    tracer.clear();
+    tracer.enable();
+    switch (exit) {
+      case Exit::CheckedMismatch: {
+        // Flip the low bit of the fsqrt result on iteration 3 of
+        // every epoch: dist[] diverges, the registers do not.
+        accel::FaultPlane plane;
+        plane.transients.push_back({7, 3, 0x1});
+        run.mesa->accelerator().injectFaults(plane);
+        break;
+      }
+      case Exit::CrcRebuild:
+        run.mesa->setConfigCorruptor([](accel::AcceleratorConfig &cfg) {
+            SplitMix64 rng(1);
+            fault::corruptConfig(cfg, rng);
+        });
+        break;
+      case Exit::WatchdogToCpu:
+      case Exit::RelocateFails:
+      case Exit::TripWatchdog:
+        stickBranch(*run.mesa, 4);
+        break;
+      case Exit::RelocateSucceeds: {
+        // Cancel the +4 step: a0 never reaches the bound, the run
+        // hangs, and the self test localizes the PE.
+        accel::FaultPlane plane;
+        plane.stuck_pes.push_back({induction_pe, 0x4});
+        run.mesa->accelerator().injectFaults(plane);
+        break;
+      }
+      case Exit::Quarantined: {
+        // A first hang strikes the region; the second encounter, from
+        // a fresh entry state, serves the backoff sentence.
+        stickBranch(*run.mesa, 4);
+        const riscv::ArchState entry = run.emu->state();
+        run.mesa->offloadLoop(kernel.loopBody(), run.emu->state(),
+                              kernel.parallel);
+        run.emu->state() = entry;
+        break;
+      }
+      default:
+        break;
+    }
+
+    auto os = run.mesa->offloadLoop(kernel.loopBody(), run.emu->state(),
+                                    kernel.parallel);
+    tracer.enable(false);
+    EXPECT_TRUE(os.has_value());
+    const GuardRow row = os ? guardRow(*os, stats, run.emu->state(),
+                                       run.memory)
+                            : GuardRow{};
+    tracer.clear();
+
+    const auto golden = runReference(kernel);
+    run.emu->run(50'000'000);
+    EXPECT_EQ(run.emu->state(), golden.state);
+    EXPECT_TRUE(sameMemory(run.memory.snapshot(), golden.memory));
+    return row;
+}
+
+const GuardCase kGuardCases[] = {
+    {"clean-unchecked", Exit::CleanUnchecked,
+     {0, false, true, false, false, false, 0, 0, 256, 568, 13, 108, 85, 93, 1,
+      4, 36, "", 15, "", 0xb61a854f, 0x7e650fdf, 0x41fddc7f}},
+    {"checked-match", Exit::CheckedMatch,
+     {0, false, true, false, false, false, 0, 3328, 256, 568, 13, 108, 85, 93,
+      1, 4, 36,
+      "fault.checked_runs=1 fault.cpu_reexec_instructions=3328",
+      15, "", 0xb61a854f, 0x7e650fdf, 0x41fddc7f}},
+    {"checked-mismatch", Exit::CheckedMismatch,
+     {2, false, true, false, false, false, 0, 3328, 256, 568, 13, 108, 85, 93,
+      1, 4, 36,
+      "fallback.fault_detected=1 fault.checked_runs=1 "
+      "fault.cpu_reexec_instructions=3328 fault.mismatches=1 "
+      "fault.quarantined_regions=1 fault.rollbacks=1 "
+      "fault.self_tests=1",
+      15,
+      "golden-mismatch region-quarantine-enter",
+      0x7f9516b5, 0x7e650fdf, 0x41fddc7f}},
+    {"crc-rebuild", Exit::CrcRebuild,
+     {0, false, true, false, false, false, 0, 0, 256, 568, 13, 108, 85, 93, 1,
+      4, 36, "fault.crc_failures=1", 15, "crc-mismatch", 0xd4f8ae68,
+      0x7e650fdf, 0x41fddc7f}},
+    {"watchdog-to-cpu", Exit::WatchdogToCpu,
+     {3, true, false, false, false, false, 0, 3840, 58226, 20003, 15, 128, 94,
+      324, 2, 3, 28,
+      "fallback.watchdog=1 fault.cpu_reexec_instructions=3840 "
+      "fault.quarantined_regions=1 fault.rollbacks=1 "
+      "fault.self_tests=1 fault.watchdog_trips=1",
+      15,
+      "watchdog-trip rollback region-quarantine-enter",
+      0x76e4118d, 0xe741111a, 0xe062a6bb}},
+    {"relocate-fails", Exit::RelocateFails,
+     {3, true, false, false, false, false, 0, 3840, 117394, 40005, 30, 256,
+      188, 648, 4, 3, 28,
+      "fallback.watchdog=2 fault.cpu_reexec_instructions=3840 "
+      "fault.quarantined_regions=1 fault.rollbacks=2 "
+      "fault.self_tests=2 fault.watchdog_trips=2 "
+      "migrate.relocations=1 migrate.stream_cycles=94 "
+      "migrate.translate_cycles=143",
+      19,
+      "watchdog-trip rollback region-quarantine-enter watchdog-trip "
+      "rollback",
+      0xdc7b20af, 0xe741111a, 0xe062a6bb}},
+    {"relocate-succeeds", Exit::RelocateSucceeds,
+     {3, false, true, false, false, false, 0, 0, 19953, 20318, 26, 214, 162,
+      0, 0, 1, 36,
+      "fallback.watchdog=1 fault.quarantined_pes=1 "
+      "fault.retired_pes=1 fault.rollbacks=1 fault.self_tests=1 "
+      "fault.watchdog_trips=1 migrate.relocation_success=1 "
+      "migrate.relocations=1 migrate.stream_cycles=81 "
+      "migrate.translate_cycles=119",
+      19,
+      "watchdog-trip rollback region-quarantine-enter pe-quarantine",
+      0x8b42bd97, 0x7e650fdf, 0x41fddc7f}},
+    {"certified-skip", Exit::CertifiedSkip,
+     {0, false, true, false, true, true, 2048000, 3328, 256, 568, 13, 108, 85,
+      93, 1, 4, 36,
+      "absint.budget_tightened=1 absint.certified=1 "
+      "absint.snapshot_skips=1 fault.checked_runs=1 "
+      "fault.cpu_reexec_instructions=3328",
+      19, "certificate", 0x4e4d6a6d, 0x7e650fdf, 0x41fddc7f}},
+    {"trip-watchdog", Exit::TripWatchdog,
+     {3, true, false, true, true, false, 3161088, 3840, 257, 514, 15, 128, 94,
+      324, 2, 3, 28,
+      "absint.budget_tightened=1 absint.certified=1 "
+      "absint.trip_watchdogs=1 fallback.watchdog=1 "
+      "fault.cpu_reexec_instructions=3840 fault.quarantined_regions=1 "
+      "fault.rollbacks=1 fault.self_tests=1 fault.watchdog_trips=1",
+      19,
+      "certificate trip-watchdog watchdog-trip rollback "
+      "region-quarantine-enter",
+      0xcef5c743, 0xe741111a, 0xe062a6bb}},
+    {"quarantined", Exit::Quarantined,
+     {5, false, false, false, false, false, 0, 3840, 0, 0, 0, 0, 0, 0, 0, 1,
+      0,
+      "fallback.quarantined=1 fallback.watchdog=1 "
+      "fault.cpu_reexec_instructions=7680 fault.rollbacks=1 "
+      "fault.self_tests=1 fault.watchdog_trips=1",
+      15,
+      "watchdog-trip rollback region-quarantine-enter",
+      0x76e4118d, 0xe741111a, 0xe062a6bb}},
+    {"device-watchdog", Exit::DeviceWatchdog,
+     {3, true, false, false, false, false, 0, 0, 1572, 1069, 13, 108, 85, 294,
+      2, 4, 34, "fallback.watchdog=1", 5, "", 0xc261b403, 0x5d14acf5,
+      0x8d1b8802}},
+};
+
+} // namespace
+
+TEST(GuardGolden, EveryExitMatchesRecorded)
+{
+    for (const GuardCase &gc : kGuardCases) {
+        SCOPED_TRACE(gc.name);
+        EXPECT_EQ(runGuardExit(gc.exit), gc.row);
+    }
 }

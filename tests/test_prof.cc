@@ -409,6 +409,26 @@ TEST(LoggerTest, LevelFiltersAndFormats)
               std::string::npos);
 }
 
+TEST(LoggerTest, DebugLinesHiddenAtInfoVisibleAtDebug)
+{
+    Logger &log = Logger::global();
+    const LogLevel saved = log.level();
+
+    std::ostringstream captured;
+    log.setStream(&captured);
+    log.setLevel(LogLevel::Info);
+    logDebug("mapper", "hidden ", 1);
+    const std::string at_info = captured.str();
+    log.setLevel(LogLevel::Debug);
+    logDebug("mapper", "visible 0x", std::hex, 255);
+
+    log.setStream(nullptr);
+    log.setLevel(saved);
+
+    EXPECT_TRUE(at_info.empty());
+    EXPECT_EQ(captured.str(), "debug: [mapper] visible 0xff\n");
+}
+
 TEST(LoggerTest, LevelNamesRoundTrip)
 {
     EXPECT_EQ(logLevelByName("debug"), LogLevel::Debug);

@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "util/crc32.hh"
-#include "util/debug.hh"
 #include "util/json.hh"
 #include "util/json_parse.hh"
 #include "util/logging.hh"
@@ -823,34 +822,6 @@ TEST(JsonParse, MutatedProfBaselineFailsCleanly)
     // Flips inside strings and numbers still parse; the rest fail.
     EXPECT_GT(parsed, 0);
     EXPECT_LT(parsed, Mutations);
-}
-
-// ---------------------------------------------------------------------
-// Debug tracing.
-// ---------------------------------------------------------------------
-
-TEST(DebugTrace, CategoriesGateOutput)
-{
-    std::ostringstream sink;
-    Debug::setStream(&sink);
-    Debug::clear();
-
-    DTRACE("mapper", "hidden " << 1);
-    EXPECT_TRUE(sink.str().empty());
-
-    Debug::enable("mapper");
-    DTRACE("mapper", "visible " << 2);
-    DTRACE("engine", "still hidden");
-    EXPECT_NE(sink.str().find("mapper: visible 2"), std::string::npos);
-    EXPECT_EQ(sink.str().find("engine"), std::string::npos);
-
-    Debug::enable("all");
-    DTRACE("engine", "now visible");
-    EXPECT_NE(sink.str().find("engine: now visible"),
-              std::string::npos);
-
-    Debug::clear();
-    Debug::setStream(&std::cerr);
 }
 
 // ---------------------------------------------------------------------
