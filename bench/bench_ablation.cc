@@ -60,7 +60,7 @@ main(int argc, char **argv)
     };
     const size_t variants = std::size(tweaks);
 
-    const auto cells = shardedRows<uint64_t>(
+    const auto cells = parallelMapOrdered<uint64_t>(
         std::size(names) * variants, jobs, [&](size_t i) -> uint64_t {
             const auto kernel = workloads::kernelByName(
                 names[i / variants], {8192});

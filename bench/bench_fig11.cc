@@ -34,7 +34,7 @@ main(int argc, char **argv)
     };
     // One shard per (kernel, accel config) grid cell; rows come back
     // in suite order regardless of --jobs.
-    const auto rows = shardedRows<Row>(
+    const auto rows = parallelMapOrdered<Row>(
         suite.size() * 2, jobs, [&](size_t i) -> Row {
             const auto &kernel = suite[i / 2];
             const bool big = i % 2;

@@ -34,19 +34,11 @@ mesaPerIterCycles(const workloads::Kernel &kernel, bool optimized)
     params.iterative_optimization = optimized;
 
     mem::MainMemory memory;
-    kernel.init_data(memory);
-    cpu::loadProgram(memory, kernel.program);
+    kernel.plant(memory);
     core::MesaController mesa(params, memory);
 
     riscv::Emulator emu(memory);
-    emu.reset(kernel.program.base_pc);
-    kernel.fullRange()(emu.state());
-    // Execute any pre-loop setup (e.g. bfs level preamble).
-    uint64_t guard = 0;
-    while (!emu.halted() && emu.state().pc != kernel.loop_start &&
-           guard++ < 1000000) {
-        emu.step();
-    }
+    kernel.enterLoop(emu);
 
     auto os = mesa.offloadLoop(kernel.loopBody(), emu.state(),
                                kernel.parallel);
@@ -78,7 +70,7 @@ main(int argc, char **argv)
         bool ok = false;
         double ipc_cgra = 0, ipc_noopt = 0, ipc_opt = 0;
     };
-    const auto rows = shardedRows<Row>(n, jobs, [&](size_t i) -> Row {
+    const auto rows = parallelMapOrdered<Row>(n, jobs, [&](size_t i) -> Row {
         const auto kernel = workloads::kernelByName(names[i], {4096});
         const auto body = kernel.loopBody();
         const double instrs = double(body.size());

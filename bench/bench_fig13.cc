@@ -48,7 +48,7 @@ main(int argc, char **argv)
 
     // --- Energy fractions averaged over four benchmarks ---
     const char *names[] = {"nn", "kmeans", "hotspot", "cfd"};
-    const auto per_kernel = shardedRows<power::EnergyBreakdown>(
+    const auto per_kernel = parallelMapOrdered<power::EnergyBreakdown>(
         std::size(names), jobs,
         [&](size_t i) -> power::EnergyBreakdown {
             const auto kernel =

@@ -59,7 +59,7 @@ main(int argc, char **argv)
         double dyn = 1.0, opt = 1.0, rec = 1.0;
         bool mesa_na = false;
     };
-    const auto rows = shardedRows<Row>(
+    const auto rows = parallelMapOrdered<Row>(
         std::size(names), jobs, [&](size_t i) -> Row {
             const auto kernel =
                 workloads::kernelByName(names[i], {16384});

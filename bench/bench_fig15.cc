@@ -23,8 +23,7 @@ accelCycles(const workloads::Kernel &kernel, int pes, bool ideal_mem)
     params.accel.ideal_memory = ideal_mem;
 
     mem::MainMemory memory;
-    kernel.init_data(memory);
-    cpu::loadProgram(memory, kernel.program);
+    kernel.plant(memory);
     core::MesaController mesa(params, memory);
 
     riscv::Emulator emu(memory);
@@ -54,7 +53,7 @@ main(int argc, char **argv)
     const uint64_t base = accelCycles(kernel, 16, false);
 
     // Grid: PE count × {default, ideal memory}.
-    const auto cells = shardedRows<uint64_t>(
+    const auto cells = parallelMapOrdered<uint64_t>(
         n * 2, jobs, [&](size_t i) -> uint64_t {
             return accelCycles(kernel, pe_counts[i / 2], i % 2 != 0);
         });

@@ -36,12 +36,11 @@ main(int argc, char **argv)
         uint64_t iterations = 0;
         double per_iter = 0;
     };
-    const auto points = shardedRows<Point>(
+    const auto points = parallelMapOrdered<Point>(
         std::size(iter_points), jobs, [&](size_t i) -> Point {
             const uint64_t iters = iter_points[i];
             mem::MainMemory memory;
-            kernel.init_data(memory);
-            cpu::loadProgram(memory, kernel.program);
+            kernel.plant(memory);
             core::MesaController mesa(params, memory);
 
             riscv::Emulator emu(memory);

@@ -48,8 +48,7 @@ void
 BM_Emulate(benchmark::State &state)
 {
     mem::MainMemory memory;
-    kernel().init_data(memory);
-    cpu::loadProgram(memory, kernel().program);
+    kernel().plant(memory);
     for (auto _ : state) {
         riscv::Emulator emu(memory);
         emu.reset(kernel().program.base_pc);
@@ -112,8 +111,7 @@ BM_AcceleratorRun(benchmark::State &state)
     int64_t iterations = 0;
     for (auto _ : state) {
         mem::MainMemory memory;
-        kernel().init_data(memory);
-        cpu::loadProgram(memory, kernel().program);
+        kernel().plant(memory);
         core::MesaController mesa(params, memory);
         riscv::Emulator emu(memory);
         emu.reset(kernel().program.base_pc);
@@ -143,8 +141,7 @@ BM_AcceleratorRunHung(benchmark::State &state)
     int64_t iterations = 0;
     for (auto _ : state) {
         mem::MainMemory memory;
-        kernel().init_data(memory);
-        cpu::loadProgram(memory, kernel().program);
+        kernel().plant(memory);
         core::MesaController mesa(params, memory);
         mesa.accelerator().injectFaults(hang);
         riscv::Emulator emu(memory);

@@ -95,8 +95,7 @@ emulatorRun(const workloads::Kernel &kernel, bool decode_cache,
             uint64_t &instret)
 {
     mem::MainMemory memory;
-    kernel.init_data(memory);
-    cpu::loadProgram(memory, kernel.program);
+    kernel.plant(memory);
 
     riscv::Emulator emu(memory);
     emu.setDecodeCache(decode_cache);
@@ -129,17 +128,10 @@ makeTranslationContexts(const std::vector<workloads::Kernel> &suite)
     for (const auto &kernel : suite) {
         auto ctx = std::make_unique<TranslationContext>();
         ctx->kernel = kernel;
-        ctx->kernel.init_data(ctx->memory);
-        cpu::loadProgram(ctx->memory, ctx->kernel.program);
+        ctx->kernel.plant(ctx->memory);
 
         riscv::Emulator emu(ctx->memory);
-        emu.reset(ctx->kernel.program.base_pc);
-        ctx->kernel.fullRange()(emu.state());
-        uint64_t steps = 0;
-        while (!emu.halted() &&
-               emu.state().pc != ctx->kernel.loop_start &&
-               steps++ < 1'000'000)
-            emu.step();
+        ctx->kernel.enterLoop(emu);
         ctx->loop_state = emu.state();
         ctx->body = ctx->kernel.loopBody();
 
@@ -237,7 +229,7 @@ main(int argc, char **argv)
     // --- Suite harness: every kernel simulated end to end. ---
     const auto suite = workloads::rodiniaSuite({1024});
     auto sweep = [&](int run_jobs) {
-        return shardedRows<uint64_t>(
+        return parallelMapOrdered<uint64_t>(
             suite.size(), run_jobs, [&](size_t i) -> uint64_t {
                 core::MesaParams params;
                 return runMesa(suite[i], params).result.total_cycles;

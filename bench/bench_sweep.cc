@@ -120,7 +120,7 @@ main(int argc, char **argv)
             for (const char *k : axes[ai].kernels)
                 cells.push_back({ai, pi, k, axes[ai].tweaks[pi]});
 
-    const auto results = shardedRows<uint64_t>(
+    const auto results = parallelMapOrdered<uint64_t>(
         cells.size(), jobs, [&](size_t i) -> uint64_t {
             return totalCycles(cells[i].kernel, cells[i].tweak);
         });

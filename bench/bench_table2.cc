@@ -36,24 +36,17 @@ main(int argc, char **argv)
         uint64_t encode = 0, imap = 0, bitstream = 0, total = 0;
         double ns = 0;
     };
-    const auto rows = shardedRows<Row>(
+    const auto rows = parallelMapOrdered<Row>(
         suite.size(), jobs, [&](size_t i) -> Row {
             const auto &kernel = suite[i];
             if (!kernel.mesa_supported)
                 return {};
             mem::MainMemory memory;
-            kernel.init_data(memory);
-            cpu::loadProgram(memory, kernel.program);
+            kernel.plant(memory);
             core::MesaController mesa(params, memory);
 
             riscv::Emulator emu(memory);
-            emu.reset(kernel.program.base_pc);
-            kernel.fullRange()(emu.state());
-            uint64_t guard = 0;
-            while (!emu.halted() &&
-                   emu.state().pc != kernel.loop_start &&
-                   guard++ < 100000)
-                emu.step();
+            kernel.enterLoop(emu);
 
             auto os = mesa.offloadLoop(kernel.loopBody(), emu.state(),
                                        kernel.parallel, 1);

@@ -61,20 +61,6 @@ makeShardContext(const workloads::Kernel &kernel,
 }
 
 /**
- * Evaluate eval(i) over an n-cell grid (kernel × system config,
- * flattened however the harness likes) on the shared thread pool,
- * returning results in index order. Each eval call must build its
- * own ShardContext; the returned vector is identical at any job
- * count, so tables, averages, and JSON stay byte-stable.
- */
-template <class Row>
-std::vector<Row>
-shardedRows(size_t n, int jobs, const std::function<Row(size_t)> &eval)
-{
-    return parallelMapOrdered<Row>(n, jobs, eval);
-}
-
-/**
  * Shared --jobs flag for the bench binaries: scans argv for
  * "--jobs N" (consuming nothing — binaries with richer CLIs parse
  * their own copy too). Default: hardware concurrency.
@@ -125,8 +111,7 @@ inline CpuRun
 runMulticoreBaseline(const workloads::Kernel &kernel, int cores = 16)
 {
     mem::MainMemory memory;
-    kernel.init_data(memory);
-    cpu::loadProgram(memory, kernel.program);
+    kernel.plant(memory);
 
     cpu::MulticoreParams params;
     params.num_cores = cores;
@@ -147,8 +132,7 @@ runSingleCoreBaseline(const workloads::Kernel &kernel,
                       const cpu::CoreParams &core = cpu::defaultCore())
 {
     mem::MainMemory memory;
-    kernel.init_data(memory);
-    cpu::loadProgram(memory, kernel.program);
+    kernel.plant(memory);
 
     CpuRun out;
     out.run = cpu::runSingleCore(core, {}, memory, kernel.program,

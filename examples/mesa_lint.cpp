@@ -79,30 +79,6 @@ struct LintResult
     uint64_t watchdog_budget = 0;
 };
 
-/**
- * Set up the kernel's dataset, load its program, and emulate the
- * preamble to the hot-loop entry -- the concrete entry state the
- * certificate instantiates against (mirrors the monitor's view at
- * offload time).
- */
-bool
-advanceToLoop(const workloads::Kernel &kernel, mem::MainMemory &memory,
-              riscv::Emulator &emu)
-{
-    if (kernel.init_data)
-        kernel.init_data(memory);
-    cpu::loadProgram(memory, kernel.program);
-    emu.reset(kernel.program.base_pc);
-    kernel.fullRange()(emu.state());
-    uint64_t steps = 0;
-    while (!emu.halted() && emu.state().pc != kernel.loop_start &&
-           steps < 1'000'000) {
-        emu.step();
-        ++steps;
-    }
-    return emu.state().pc == kernel.loop_start;
-}
-
 LintResult
 lintKernel(const workloads::Kernel &kernel,
            const accel::AccelParams &accel, bool allow_timemux,
@@ -152,9 +128,12 @@ lintKernel(const workloads::Kernel &kernel,
     out.report.merge(core::verifyTranslation(*tr, config, accel, noc));
 
     if (run_absint) {
+        // The concrete entry state the certificate instantiates
+        // against (the monitor's view at offload time).
         mem::MainMemory memory;
+        kernel.plant(memory);
         riscv::Emulator emu(memory);
-        if (advanceToLoop(kernel, memory, emu)) {
+        if (kernel.enterLoop(emu)) {
             out.cert = absint::analyze(tr->ldfg);
             out.inst = absint::instantiate(
                 out.cert, emu.state(), absint::residentRegion(memory));

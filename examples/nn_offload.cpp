@@ -65,8 +65,7 @@ main()
 
     // --- T3 + F3: offload with iterative optimization ----------------
     mem::MainMemory memory;
-    kernel.init_data(memory);
-    cpu::loadProgram(memory, kernel.program);
+    kernel.plant(memory);
 
     core::MesaParams params;
     params.accel = accel_params;

@@ -28,8 +28,7 @@ runTiled(int tiles, bool pipelined)
     const auto accel_params = accel::AccelParams::m512();
 
     mem::MainMemory memory;
-    kernel.init_data(memory);
-    cpu::loadProgram(memory, kernel.program);
+    kernel.plant(memory);
 
     // Drive the pipeline manually to control the tile factor.
     accel::Accelerator accel(accel_params, memory);

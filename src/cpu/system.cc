@@ -8,6 +8,20 @@
 namespace mesa::cpu
 {
 
+double
+loadImbalance(const std::vector<uint64_t> &core_cycles)
+{
+    if (core_cycles.empty())
+        return 1.0;
+    uint64_t sum = 0, worst = 0;
+    for (uint64_t c : core_cycles) {
+        sum += c;
+        worst = std::max(worst, c);
+    }
+    const double mean = double(sum) / double(core_cycles.size());
+    return mean > 0.0 ? double(worst) / mean : 1.0;
+}
+
 void
 loadProgram(mem::MainMemory &memory, const riscv::Program &program)
 {

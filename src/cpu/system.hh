@@ -36,6 +36,10 @@ struct MulticoreParams
     double dram_accesses_per_cycle = 1.0;
 };
 
+/** Load imbalance: the slowest core's cycles over the mean (1 = even,
+ *  also for no cores or no cycles). */
+double loadImbalance(const std::vector<uint64_t> &core_cycles);
+
 /** Aggregated outcome of a timed run. */
 struct RunResult
 {
@@ -61,20 +65,7 @@ struct RunResult
     }
 
     /** Imbalance ratio: slowest core over mean core time (1 = even). */
-    double
-    imbalance() const
-    {
-        if (core_cycles.empty())
-            return 1.0;
-        uint64_t sum = 0, worst = 0;
-        for (uint64_t c : core_cycles) {
-            sum += c;
-            worst = std::max(worst, c);
-        }
-        const double mean =
-            double(sum) / double(core_cycles.size());
-        return mean > 0.0 ? double(worst) / mean : 1.0;
-    }
+    double imbalance() const { return loadImbalance(core_cycles); }
 };
 
 /** Load program words into memory at its base pc. */

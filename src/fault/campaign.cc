@@ -30,8 +30,7 @@ Golden
 runGolden(const workloads::Kernel &kernel, uint64_t max_steps)
 {
     mem::MainMemory memory;
-    kernel.init_data(memory);
-    cpu::loadProgram(memory, kernel.program);
+    kernel.plant(memory);
 
     riscv::Emulator emu(memory);
     emu.reset(kernel.program.base_pc);
@@ -43,18 +42,6 @@ runGolden(const workloads::Kernel &kernel, uint64_t max_steps)
     g.memory = memory.snapshot();
     g.instructions = emu.instret();
     return g;
-}
-
-void
-advanceToLoop(riscv::Emulator &emu, const workloads::Kernel &kernel,
-              uint64_t max_steps = 1'000'000)
-{
-    uint64_t steps = 0;
-    while (!emu.halted() && emu.state().pc != kernel.loop_start &&
-           steps < max_steps) {
-        emu.step();
-        ++steps;
-    }
 }
 
 /** Does the installed configuration avoid every quarantined PE? */
@@ -192,8 +179,7 @@ runInjection(const CampaignParams &params,
                          .fork(uint64_t(j) + 1);
 
     mem::MainMemory memory;
-    kernel.init_data(memory);
-    cpu::loadProgram(memory, kernel.program);
+    kernel.plant(memory);
 
     core::MesaParams mp;
     mp.accel = params.accel;
@@ -209,9 +195,7 @@ runInjection(const CampaignParams &params,
     mesa.attachStats(&reg);
 
     riscv::Emulator emu(memory);
-    emu.reset(kernel.program.base_pc);
-    kernel.fullRange()(emu.state());
-    advanceToLoop(emu, kernel);
+    kernel.enterLoop(emu);
 
     accel::FaultPlane plane;
     switch (kind) {
@@ -275,12 +259,9 @@ runInjection(const CampaignParams &params,
     const bool permanent =
         kind == FaultKind::StuckPe || kind == FaultKind::DeadLink;
     if (permanent && !mesa.faultyPes().empty()) {
-        kernel.init_data(memory);
-        cpu::loadProgram(memory, kernel.program);
+        kernel.plant(memory);
         riscv::Emulator emu2(memory);
-        emu2.reset(kernel.program.base_pc);
-        kernel.fullRange()(emu2.state());
-        advanceToLoop(emu2, kernel);
+        kernel.enterLoop(emu2);
         auto os2 =
             mesa.offloadLoop(body, emu2.state(), kernel.parallel);
         if (os2 && os2->accel_iterations > 0) {

@@ -45,9 +45,6 @@ struct FaultToleranceParams
      */
     bool checked_mode = false;
 
-    /** Re-derive the config CRC before streaming (detection point 1). */
-    bool crc_check = true;
-
     /**
      * Per-offload fabric cycle budget in fault mode, threaded through
      * every epoch (detection point 2). Independent of the hard device
@@ -55,9 +52,6 @@ struct FaultToleranceParams
      * 0 = only the device cap applies.
      */
     uint64_t watchdog_cycles = 2'000'000;
-
-    /** Step bound for golden-model re-execution of one region. */
-    uint64_t max_golden_steps = 50'000'000;
 
     /**
      * Use abstract-interpretation certificates (src/absint) to gate
@@ -71,13 +65,6 @@ struct FaultToleranceParams
      * watchdog_cycles when the proof allows.
      */
     bool certificate_gating = false;
-
-    /**
-     * Run the fabric's BIST after a detected fault to distinguish
-     * permanent defects (quarantine the PEs, remap around them) from
-     * transients (back off the region, retry later).
-     */
-    bool self_test_on_fault = true;
 
     /**
      * Drain-and-relocate instead of degrade-in-place: after a

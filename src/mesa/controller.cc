@@ -58,6 +58,12 @@ namespace
 
 using Event = ControllerEvent;
 
+/** Step bound for the golden model's re-execution of one region. */
+constexpr uint64_t GoldenSteps = 50'000'000;
+
+/** Step bound for runTransparent (program entry to halt). */
+constexpr uint64_t TransparentSteps = 200'000'000;
+
 /**
  * The event catalog, indexed by event. A row with a stat path is a
  * counter, registered while its gate is open; a row with a track is a
@@ -716,7 +722,7 @@ MesaController::cpuReexecute(riscv::ArchState &state, OffloadStats &os)
     cpu.reset(state.pc);
     cpu.state() = state;
     const uint64_t steps = cpu.runWhileInRegion(
-        os.region_start, os.region_end, params_.fault.max_golden_steps);
+        os.region_start, os.region_end, GoldenSteps);
     state = cpu.state();
     os.cpu_reexec_instructions += steps;
     emit(Event::CpuReexec, steps);
@@ -733,11 +739,9 @@ MesaController::onFaultDetected(OffloadStats &os)
                uint64_t(quarantine_.strikes(os.region_start))}});
     config_cache_.invalidate(os.region_start);
     size_t newly = 0;
-    if (params_.fault.self_test_on_fault) {
-        emit(Event::SelfTest);
-        for (const ic::Coord pos : accel_.selfTest())
-            newly += faulty_pes_.add(pos) ? 1 : 0;
-    }
+    emit(Event::SelfTest);
+    for (const ic::Coord pos : accel_.selfTest())
+        newly += faulty_pes_.add(pos) ? 1 : 0;
     if (newly > 0) {
         // Permanent defects localized: retire the PEs from the
         // mapper's free matrix, flush every cached placement (any of
@@ -818,8 +822,7 @@ MesaController::crcGate(Prepared &prep, const OffloadStats &os)
     // Campaign hook: model an SEU in the stored bitstream.
     if (config_corruptor_)
         config_corruptor_(prep.config);
-    if (!params_.fault.crc_check ||
-        accel::configCrc(prep.config) == prep.config.crc)
+    if (accel::configCrc(prep.config) == prep.config.crc)
         return;
     emit(Event::CrcFailure, 1,
          {{"pc", uint64_t(os.region_start)},
@@ -1150,7 +1153,7 @@ MesaController::runTransparent(const riscv::Program &program,
     Tracer &tracer = Tracer::global();
     uint64_t cpu_seg_start = tracer.now();
     uint64_t steps = 0;
-    while (!emu.halted() && steps < params_.max_steps) {
+    while (!emu.halted() && steps < TransparentSteps) {
         emu.step();
         ++steps;
 

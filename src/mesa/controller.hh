@@ -111,8 +111,6 @@ struct MesaParams
     /** Clock (GHz), for reporting config latency in wall time. */
     double clock_ghz = 2.0;
 
-    uint64_t max_steps = 200'000'000;
-
     /**
      * Fault tolerance (the mesa_fault subsystem): config CRC gate,
      * pre-offload checkpoint + rollback, watchdog budgets, optional

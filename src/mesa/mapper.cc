@@ -171,8 +171,9 @@ InstructionMapper::map(const Ldfg &ldfg) const
                 evaluate(rr, cc);
 
         unsigned rescans = 0;
-        if (candidates == 0 && params_.allow_rescan) {
-            // Fallback pass: widen to the whole grid.
+        if (candidates == 0) {
+            // Fallback pass: one rescan of the whole grid before the
+            // instruction gives up on the fabric.
             ++rescans;
             for (int rr = 0; rr < rows; ++rr)
                 for (int cc = 0; cc < cols; ++cc)

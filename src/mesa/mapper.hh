@@ -35,12 +35,6 @@ struct MapperParams
 
     /** Secondary-bus latency charged to unmapped instructions. */
     double fallback_bus_latency = 8.0;
-
-    /**
-     * Allow one full-grid rescan when the candidate window has no
-     * valid position (hardware fallback pass before giving up).
-     */
-    bool allow_rescan = true;
 };
 
 /** Result of mapping one LDFG. */

@@ -15,6 +15,7 @@
 #include "util/archive.hh"
 #include "util/crc32.hh"
 #include "util/logging.hh"
+#include "verify/verifier.hh"
 
 namespace mesa::core
 {
@@ -390,7 +391,9 @@ paramsFingerprint(const MesaParams &p)
     crc.add32(uint32_t(p.mapper.cand_rows));
     crc.add32(uint32_t(p.mapper.cand_cols));
     crc.add64(std::bit_cast<uint64_t>(p.mapper.fallback_bus_latency));
-    crc.addByte(p.mapper.allow_rescan);
+    // The mapper's full-grid rescan, always on; still hashed so the
+    // fingerprint (and every entry's file name) stays what it was.
+    crc.addByte(1);
     // Optimization switches that steer prepare().
     crc.addByte(p.enable_tiling);
     crc.addByte(p.enable_pipelining);
@@ -525,6 +528,11 @@ TranslationStore::load(const TranslationKey &key,
     // configuration can never be served from disk.
     if (accel::configCrc(prep.config) != prep.config.crc ||
         prep.body_tag != key.body_tag)
+        return PersistOutcome::Corrupt;
+    // The CRC does not cover the LDFG, which the optimizer re-lowers
+    // and relocation re-maps: its wiring, live-in and written sets
+    // must agree with a rename replay of its own instructions.
+    if (!verify::verifyLdfg(prep.ldfg).clean())
         return PersistOutcome::Corrupt;
     out = prep;
     {

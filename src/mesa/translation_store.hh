@@ -21,9 +21,10 @@
  *
  * Integrity: every file carries a magic, a format version, an echo of
  * its key, and a whole-file CRC-32. One field list per type writes and
- * reads it, and the reader range-checks every count and index. A
- * truncated, bit-flipped, version-skewed, misnamed or out-of-range
- * file is ignored (counted, never trusted) and the region is
+ * reads it, and the reader range-checks every count and index; the
+ * config's CRC and the verifier's LDFG pass check what is in range. A
+ * truncated, bit-flipped, version-skewed, misnamed, out-of-range or
+ * inconsistent file is ignored (counted, never trusted) and the region is
  * translated cold — after which the entry is rewritten, self-healing
  * the store. Writes go to a temp file
  * followed by an atomic rename, so concurrent writers (campaign
@@ -90,8 +91,9 @@ class TranslationStore
 
     /**
      * Probe the store. On Hit, @p out holds the deserialized region
-     * (integrity-checked: whole-file CRC, key echo, and the config's
-     * own semantic CRC all verified). Every other outcome leaves
+     * (integrity-checked: whole-file CRC, key echo, the config's own
+     * semantic CRC, and the LDFG's wiring against a rename replay of
+     * its instructions all verified). Every other outcome leaves
      * @p out untouched and the caller translates cold.
      */
     PersistOutcome load(const TranslationKey &key,

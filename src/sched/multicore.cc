@@ -10,19 +10,13 @@
 namespace mesa::sched
 {
 
-double
-SharedRunResult::imbalance() const
+namespace
 {
-    if (core_cycles.empty())
-        return 1.0;
-    uint64_t sum = 0, worst = 0;
-    for (uint64_t c : core_cycles) {
-        sum += c;
-        worst = std::max(worst, c);
-    }
-    const double mean = double(sum) / double(core_cycles.size());
-    return mean > 0.0 ? double(worst) / mean : 1.0;
-}
+
+/** Step bound on a thread's run from the loop exit to halt. */
+constexpr uint64_t ResumeSteps = 50'000'000;
+
+} // namespace
 
 SharedRunResult
 runShared(const SharedRunParams &params, mem::MainMemory &memory,
@@ -30,8 +24,7 @@ runShared(const SharedRunParams &params, mem::MainMemory &memory,
 {
     SharedRunResult out;
 
-    kernel.init_data(memory);
-    cpu::loadProgram(memory, kernel.program);
+    kernel.plant(memory);
 
     MultiTenantScheduler scheduler(params.sched, memory);
     const auto body = kernel.loopBody();
@@ -46,17 +39,7 @@ runShared(const SharedRunParams &params, mem::MainMemory &memory,
     std::vector<int> ids;
     for (size_t t = 0; t < chunks.size(); ++t) {
         auto emu = std::make_unique<riscv::Emulator>(memory);
-        emu->reset(kernel.program.base_pc);
-        chunks[t](emu->state());
-
-        // Execute any pre-loop setup functionally.
-        uint64_t guard = 0;
-        while (!emu->halted() &&
-               emu->state().pc != kernel.loop_start &&
-               guard++ < params.max_preamble_steps) {
-            emu->step();
-        }
-        if (emu->halted() || emu->state().pc != kernel.loop_start) {
+        if (!kernel.enterLoop(*emu, chunks[t])) {
             logWarn("sched", "runShared: thread ", t,
                  " never reached the loop entry; skipping");
             continue;
@@ -90,11 +73,7 @@ runShared(const SharedRunParams &params, mem::MainMemory &memory,
         const TenantStats &stats =
             out.sched.tenants[size_t(ids[t])];
         out.core_cycles.push_back(stats.turnaroundCycles());
-        uint64_t guard = 0;
-        while (!emus[t]->halted() &&
-               guard++ < params.max_resume_steps) {
-            emus[t]->step();
-        }
+        emus[t]->run(ResumeSteps);
         all = all && stats.completed && emus[t]->halted();
     }
     out.all_completed = all;

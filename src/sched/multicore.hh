@@ -34,10 +34,6 @@ struct SharedRunParams
     /** Per-tenant iteration-space weights (skewed load); empty =
      *  even split. Tenant count follows the weight vector when set. */
     std::vector<double> weights;
-
-    /** Functional-emulation guards. */
-    uint64_t max_preamble_steps = 1'000'000;
-    uint64_t max_resume_steps = 50'000'000;
 };
 
 /** Outcome of a shared run. */
@@ -57,7 +53,7 @@ struct SharedRunResult
     bool all_completed = false;
 
     /** Slowest tenant turnaround over the mean (1 = even). */
-    double imbalance() const;
+    double imbalance() const { return cpu::loadImbalance(core_cycles); }
 };
 
 /**

@@ -12,6 +12,15 @@ namespace mesa::sched
 
 using accel::AccelRunResult;
 
+namespace
+{
+
+/** Iterations a tenant must still owe before an elastic migration is
+ *  worth its translation and streaming cost. */
+constexpr uint64_t ElasticMinRemaining = 256;
+
+} // namespace
+
 const char *
 policyName(Policy policy)
 {
@@ -280,7 +289,7 @@ MultiTenantScheduler::tryElasticSlice(int t, size_t pk, uint64_t now,
                                       uint64_t &batch_end)
 {
     Tenant &T = tenants_[size_t(t)];
-    if (T.remaining < params_.elastic_min_remaining)
+    if (T.remaining < ElasticMinRemaining)
         return false;
     if (!soloRunnable(t, now))
         return false;

@@ -85,10 +85,6 @@ struct SchedParams
      * criterion fails and slices return to single-way granularity.
      */
     bool elastic = false;
-
-    /** Iterations a tenant must still owe before a migration is
-     *  worth its translation + streaming cost. */
-    uint64_t elastic_min_remaining = 256;
 };
 
 /** Per-tenant schedule outcome. */

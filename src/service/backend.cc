@@ -49,31 +49,32 @@ memoryDigest(const mem::MainMemory &memory)
     return crc.value();
 }
 
-/** Step the emulator until its pc reaches @p target (or it halts). */
+/** Step bound on the CPU's share of a job: the rest of the hot loop,
+ *  then the postamble to halt. */
+constexpr uint64_t ResumeSteps = 50'000'000;
+
+/** Preemption slice of a co-scheduled batch, in iterations. */
+constexpr uint64_t SchedEpochIterations = 256;
+
+/** Enter the hot loop; a preamble that neither halts nor reaches the
+ *  loop within the bound is a broken kernel. */
 void
-runToPc(riscv::Emulator &emu, uint32_t target, uint64_t max_steps,
-        const char *what)
+mustEnterLoop(const workloads::Kernel &kernel, riscv::Emulator &emu,
+              const cpu::ThreadInit &init, const char *what)
 {
-    uint64_t steps = 0;
-    while (!emu.halted() && emu.state().pc != target) {
-        emu.step();
-        if (++steps > max_steps)
-            fatal("service backend: ", what, " exceeded ", max_steps,
-                  " steps");
-    }
+    if (!kernel.enterLoop(emu, init) && !emu.halted())
+        fatal("service backend: ", what, " exceeded ",
+              workloads::Kernel::PreambleSteps, " steps");
 }
 
 /** Step the emulator to halt. */
 void
-runToHalt(riscv::Emulator &emu, uint64_t max_steps, const char *what)
+runToHalt(riscv::Emulator &emu, const char *what)
 {
-    uint64_t steps = 0;
-    while (!emu.halted()) {
-        emu.step();
-        if (++steps > max_steps)
-            fatal("service backend: ", what, " exceeded ", max_steps,
-                  " steps");
-    }
+    emu.run(ResumeSteps);
+    if (!emu.halted())
+        fatal("service backend: ", what, " exceeded ", ResumeSteps,
+              " steps");
 }
 
 } // namespace
@@ -118,15 +119,11 @@ ServiceBackend::execute(const OffloadJob &job, uint64_t dispatch_cycle)
     // Each job brings its own memory image; the fabric (with its warm
     // config cache) is rebound to it for the duration of the job.
     mem::MainMemory memory;
-    kernel.init_data(memory);
-    cpu::loadProgram(memory, kernel.program);
+    kernel.plant(memory);
     controller_->rebindMemory(memory);
 
     riscv::Emulator emu(memory);
-    emu.reset(kernel.program.base_pc);
-    kernel.fullRange()(emu.state());
-    runToPc(emu, kernel.loop_start, params_.max_preamble_steps,
-            "preamble");
+    mustEnterLoop(kernel, emu, kernel.fullRange(), "preamble");
 
     JobRecord rec;
     rec.job = job;
@@ -178,12 +175,12 @@ ServiceBackend::execute(const OffloadJob &job, uint64_t dispatch_cycle)
     // runs functionally on the CPU, charged at one cycle per
     // instruction to FaultRecovery.
     const uint64_t cpu_steps = emu.runWhileInRegion(
-        kernel.loop_start, kernel.loop_end, params_.max_resume_steps);
+        kernel.loop_start, kernel.loop_end, ResumeSteps);
     rec.phases[prof::Phase::FaultRecovery] += cpu_steps;
 
     // Postamble (loop exit to halt) is host-side epilogue, not
     // offload service time.
-    runToHalt(emu, params_.max_resume_steps, "postamble");
+    runToHalt(emu, "postamble");
 
     if (rec.phases.total() == 0)
         rec.phases[prof::Phase::Compute] = 1; // A job takes >= 1 cycle.
@@ -233,13 +230,12 @@ ServiceBackend::executeBatch(const std::vector<OffloadJob> &jobs,
     const auto body = kernel.loopBody();
 
     mem::MainMemory memory;
-    kernel.init_data(memory);
-    cpu::loadProgram(memory, kernel.program);
+    kernel.plant(memory);
 
     sched::SchedParams sp;
     sp.mesa = params_.mesa;
     sp.policy = sched::Policy::Priority;
-    sp.epoch_iterations = params_.sched_epoch_iterations;
+    sp.epoch_iterations = SchedEpochIterations;
     sp.spatial_ways = std::min(
         params_.sched_ways,
         std::max(1, sched::maxWays(sp.mesa.accel, body.size())));
@@ -250,11 +246,13 @@ ServiceBackend::executeBatch(const std::vector<OffloadJob> &jobs,
     std::vector<int> ids(jobs.size(), -1);
     for (size_t j = 0; j < jobs.size(); ++j) {
         auto emu = std::make_unique<riscv::Emulator>(memory);
-        emu->reset(kernel.program.base_pc);
-        kernel.init_range(emu->state(), offset[j],
-                          offset[j] + jobs[j].iterations);
-        runToPc(*emu, kernel.loop_start, params_.max_preamble_steps,
-                "batch preamble");
+        const uint64_t begin = offset[j];
+        const uint64_t end = begin + jobs[j].iterations;
+        mustEnterLoop(kernel, *emu,
+                      [&](riscv::ArchState &state) {
+                          kernel.init_range(state, begin, end);
+                      },
+                      "batch preamble");
         if (!emu->halted()) {
             // Strictest QoS class gets the highest scheduler
             // priority.
@@ -297,11 +295,9 @@ ServiceBackend::executeBatch(const std::vector<OffloadJob> &jobs,
             emus[j]->halted()
                 ? 0
                 : emus[j]->runWhileInRegion(kernel.loop_start,
-                                            kernel.loop_end,
-                                            params_.max_resume_steps);
+                                            kernel.loop_end, ResumeSteps);
         rec.phases[prof::Phase::FaultRecovery] += cpu_steps;
-        runToHalt(*emus[j], params_.max_resume_steps,
-                  "batch postamble");
+        runToHalt(*emus[j], "batch postamble");
 
         if (rec.phases.total() == 0)
             rec.phases[prof::Phase::Compute] = 1;

@@ -47,16 +47,10 @@ struct BackendParams
      * jobs share the fabric through a multi-tenant scheduler.
      */
     int sched_ways = 1;
-    int max_batch = 4; ///< Jobs gathered per co-scheduled batch.
-    uint64_t sched_epoch_iterations = 256;
 
     /** Attach a cycle-attribution profile so each job's service time
      *  splits into compute / NoC-stall / mem-stall exactly. */
     bool profile = true;
-
-    // Emulator guard rails (mirrors sched/multicore.cc).
-    uint64_t max_preamble_steps = 1'000'000;
-    uint64_t max_resume_steps = 50'000'000;
 };
 
 /** One fabric instance serving jobs from the shared queue. */
@@ -79,7 +73,6 @@ class ServiceBackend
                  uint64_t dispatch_cycle);
 
     int schedWays() const { return params_.sched_ways; }
-    int maxBatch() const { return params_.max_batch; }
 
     // Lifetime counters for the pool summary.
     uint64_t jobs() const { return jobs_; }

@@ -59,6 +59,9 @@ struct ArrivalLater
 
 constexpr uint64_t kNever = ~uint64_t(0);
 
+/** Jobs gathered into one co-scheduled batch. */
+constexpr size_t kMaxBatch = 4;
+
 /** The whole event-loop state, so dispatch helpers stay readable. */
 struct Engine
 {
@@ -295,8 +298,7 @@ struct Engine
                 std::vector<size_t> picks;
                 for (size_t i = 0;
                      i < pending.size() &&
-                     batch.size() + picks.size() <
-                         size_t(be.maxBatch());
+                     batch.size() + picks.size() < kMaxBatch;
                      ++i)
                     if (pending[i].kernel == batch.front().kernel)
                         picks.push_back(i);
@@ -419,19 +421,9 @@ makeCertificateGate(const accel::AccelParams &accel)
             // Bind the proof to the job's own memory image at loop
             // entry, exactly as the backend would execute it.
             mem::MainMemory memory;
-            kernel.init_data(memory);
-            cpu::loadProgram(memory, kernel.program);
+            kernel.plant(memory);
             riscv::Emulator emu(memory);
-            emu.reset(kernel.program.base_pc);
-            kernel.fullRange()(emu.state());
-            uint64_t steps = 0;
-            while (!emu.halted() &&
-                   emu.state().pc != kernel.loop_start &&
-                   steps < 1'000'000) {
-                emu.step();
-                ++steps;
-            }
-            if (emu.state().pc != kernel.loop_start)
+            if (!kernel.enterLoop(emu))
                 break; // Loop entry unreachable: nothing to certify.
             const absint::BodyCertificate cert =
                 absint::analyze(*ldfg);

@@ -6,6 +6,15 @@
 namespace mesa::service
 {
 
+namespace
+{
+
+/** Histogram resolution: buckets per class, the width derived from
+ *  the class target so two targets of range are covered. */
+constexpr size_t HistogramBuckets = 64;
+
+} // namespace
+
 const char *
 qosName(QosClass qos)
 {
@@ -48,14 +57,11 @@ SloAccounting::SloAccounting(const SloParams &params) : params_(params)
         // percentile falls back to the tracked true max).
         const double target =
             double(params_.latency_target_cycles[size_t(c)]);
-        const double width = std::max(
-            1.0, target / (double(params_.histogram_buckets) / 2.0));
-        classes_[size_t(c)].latency =
-            Histogram(params_.histogram_buckets, width);
-        classes_[size_t(c)].wait =
-            Histogram(params_.histogram_buckets, width);
-        classes_[size_t(c)].service =
-            Histogram(params_.histogram_buckets, width);
+        const double width =
+            std::max(1.0, target / (double(HistogramBuckets) / 2.0));
+        classes_[size_t(c)].latency = Histogram(HistogramBuckets, width);
+        classes_[size_t(c)].wait = Histogram(HistogramBuckets, width);
+        classes_[size_t(c)].service = Histogram(HistogramBuckets, width);
     }
 }
 

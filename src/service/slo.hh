@@ -25,7 +25,7 @@
 namespace mesa::service
 {
 
-/** SLO targets and accounting resolution. */
+/** SLO targets. */
 struct SloParams
 {
     /** Per-class end-to-end latency targets (device cycles); a job
@@ -35,10 +35,6 @@ struct SloParams
         500'000,   // Standard
         5'000'000, // Batch
     };
-
-    /** Histogram resolution: buckets per class, width derived from
-     *  the class target so two targets of range are covered. */
-    size_t histogram_buckets = 64;
 };
 
 /** Materialized per-class summary (cycles). */

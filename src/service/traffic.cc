@@ -19,6 +19,20 @@ constexpr uint64_t kContentStream = 0x636f6e; // "con"
 constexpr uint64_t kArrivalStream = 0x617272; // "arr"
 constexpr uint64_t kThinkStream = 0x74686b;   // "thk"
 
+// Bursty profile: jobs per burst, and the idle-gap mean in units of
+// mean_interarrival.
+constexpr int kBurstSize = 4;
+constexpr double kBurstIdleFactor = 4.0;
+
+// Diurnal profile: cycles per "day", and the trough rate over the
+// peak rate.
+constexpr double kDiurnalPeriod = 1'000'000.0;
+constexpr double kDiurnalMinFrac = 0.2;
+
+// Tenant QoS mix in tenants per mille; the remainder is Standard.
+constexpr uint64_t kQosInteractivePerMille = 200;
+constexpr uint64_t kQosBatchPerMille = 300;
+
 /** Uniform double in [0, 1) from the top 53 bits. */
 double
 uniform01(SplitMix64 &rng)
@@ -105,13 +119,9 @@ TrafficGenerator::tenantQos(int tenant) const
 {
     SplitMix64 rng = root_.fork(kQosStream).fork(uint64_t(tenant));
     const uint64_t u = rng.below(1000);
-    const auto cut = [](double frac) {
-        return uint64_t(std::llround(frac * 1000.0));
-    };
-    if (u < cut(params_.qos_interactive_frac))
+    if (u < kQosInteractivePerMille)
         return QosClass::Interactive;
-    if (u < cut(params_.qos_interactive_frac) +
-                cut(params_.qos_batch_frac))
+    if (u < kQosInteractivePerMille + kQosBatchPerMille)
         return QosClass::Batch;
     return QosClass::Standard;
 }
@@ -163,11 +173,11 @@ TrafficGenerator::appendTenantArrivals(int tenant,
         // Long exponential idle gaps separated by tight bursts whose
         // spacing is a tenth of the base mean.
         for (;;) {
-            now += expGap(rng, mean * params_.burst_idle_factor);
+            now += expGap(rng, mean * kBurstIdleFactor);
             if (now >= params_.horizon_cycles)
                 break;
             for (int b = 0;
-                 b < params_.burst_size && now < params_.horizon_cycles;
+                 b < kBurstSize && now < params_.horizon_cycles;
                  ++b) {
                 emit(now);
                 now += expGap(rng, mean / 10.0);
@@ -183,10 +193,10 @@ TrafficGenerator::appendTenantArrivals(int tenant,
         for (now = expGap(rng, mean); now < params_.horizon_cycles;
              now += expGap(rng, mean)) {
             const double phase =
-                two_pi * double(now) / params_.diurnal_period;
+                two_pi * double(now) / kDiurnalPeriod;
             const double frac =
-                params_.diurnal_min_frac +
-                (1.0 - params_.diurnal_min_frac) * 0.5 *
+                kDiurnalMinFrac +
+                (1.0 - kDiurnalMinFrac) * 0.5 *
                     (1.0 - std::cos(phase));
             if (uniform01(rng) < frac)
                 emit(now);

@@ -55,15 +55,6 @@ struct TrafficParams
      *  base / diurnal peak-rate gap). */
     double mean_interarrival = 50'000.0;
 
-    // Bursty profile.
-    int burst_size = 4;             ///< Jobs per burst.
-    double burst_idle_factor = 4.0; ///< Idle-gap mean, in units of
-                                    ///< mean_interarrival.
-
-    // Diurnal profile.
-    double diurnal_period = 1'000'000.0; ///< Cycles per "day".
-    double diurnal_min_frac = 0.2; ///< Trough rate / peak rate.
-
     // Closed loop.
     uint64_t jobs_per_tenant = 4;
     double think_cycles = 10'000.0; ///< Mean think time.
@@ -77,10 +68,6 @@ struct TrafficParams
      *  per-backend kernel/config caches meaningful). */
     uint64_t min_iterations = 32;
     uint64_t max_iterations = 256;
-
-    /** Tenant QoS mix (the remainder is Standard). */
-    double qos_interactive_frac = 0.2;
-    double qos_batch_frac = 0.3;
 };
 
 /** Deterministic job source. Stateless after construction: every

@@ -19,6 +19,20 @@ using riscv::OpClass;
 namespace
 {
 
+/** Node latencies this many times above or below the static class
+ *  default are noted (dfg.latency-skew): measured refresh drifts are
+ *  expected, gross skew usually means a corrupted annotation. */
+constexpr double LatencySkewFactor = 16.0;
+
+/** Operand routes costing more than this many cycles on the active
+ *  interconnect are flagged (map.long-route). */
+constexpr uint32_t MaxEdgeLatency = 16;
+
+/** Fallback-bus usage above this fraction of the graph is flagged
+ *  (map.fallback-threshold). The controller's own abandon limit is
+ *  MesaParams::max_unmapped_frac; the verifier warns earlier. */
+constexpr double FallbackWarnFrac = 0.125;
+
 std::string
 nodeLoc(const Ldfg &ldfg, NodeId id)
 {
@@ -221,8 +235,7 @@ expandRulePatterns(const std::string &spec,
 // ---------------------------------------------------------------------
 
 Report
-verifyLdfg(const Ldfg &ldfg, const dfg::OpLatencyConfig &lat_cfg,
-           const VerifyOptions &opts)
+verifyLdfg(const Ldfg &ldfg, const dfg::OpLatencyConfig &lat_cfg)
 {
     Report report;
     const size_t n = ldfg.size();
@@ -264,8 +277,8 @@ verifyLdfg(const Ldfg &ldfg, const dfg::OpLatencyConfig &lat_cfg,
         } else {
             const double def = lat_cfg.cycles(node.inst.cls());
             if (def > 0.0 &&
-                (node.op_latency > def * opts.latency_skew_factor ||
-                 node.op_latency * opts.latency_skew_factor < def)) {
+                (node.op_latency > def * LatencySkewFactor ||
+                 node.op_latency * LatencySkewFactor < def)) {
                 report.note("dfg.latency-skew", loc,
                             "op latency " +
                                 std::to_string(node.op_latency) +
@@ -428,7 +441,7 @@ Report
 verifyMapping(const Ldfg &ldfg, const Sdfg &sdfg,
               const std::vector<NodeId> &unmapped,
               const accel::AccelParams &accel,
-              const ic::Interconnect &ic, const VerifyOptions &opts)
+              const ic::Interconnect &ic)
 {
     Report report;
     const size_t n = ldfg.size();
@@ -533,25 +546,25 @@ verifyMapping(const Ldfg &ldfg, const Sdfg &sdfg,
             if (!from.valid() || !sdfg.inRange(from))
                 continue; // fallback-bus edge
             const uint32_t lat = ic.latency(from, to);
-            if (lat > opts.max_edge_latency) {
+            if (lat > MaxEdgeLatency) {
                 report.warn("map.long-route", nodeLoc(ldfg, id),
                             "route " + coordStr(from) + " -> " +
                                 coordStr(to) + " costs " +
                                 std::to_string(lat) +
                                 " cycles (threshold " +
-                                std::to_string(opts.max_edge_latency) +
+                                std::to_string(MaxEdgeLatency) +
                                 ")");
             }
         }
     }
 
     if (n > 0 && !unmapped.empty() &&
-        double(unmapped.size()) / double(n) > opts.fallback_warn_frac) {
+        double(unmapped.size()) / double(n) > FallbackWarnFrac) {
         report.warn("map.fallback-threshold", "graph",
                     std::to_string(unmapped.size()) + "/" +
                         std::to_string(n) +
                         " nodes on the fallback bus (threshold " +
-                        std::to_string(opts.fallback_warn_frac) + ")");
+                        std::to_string(FallbackWarnFrac) + ")");
     }
     return report;
 }
@@ -562,7 +575,7 @@ verifyMapping(const Ldfg &ldfg, const Sdfg &sdfg,
 
 Report
 verifyConfig(const Ldfg &ldfg, const accel::AcceleratorConfig &config,
-             const accel::AccelParams &accel, const VerifyOptions &)
+             const accel::AccelParams &accel)
 {
     Report report;
     const size_t n = ldfg.size();
@@ -843,11 +856,11 @@ verifyPipeline(const Ldfg &ldfg, const Sdfg &sdfg,
                const std::vector<NodeId> &unmapped,
                const accel::AcceleratorConfig &config,
                const accel::AccelParams &accel,
-               const ic::Interconnect &ic, const VerifyOptions &opts)
+               const ic::Interconnect &ic)
 {
-    Report report = verifyLdfg(ldfg, accel.op_latency, opts);
-    report.merge(verifyMapping(ldfg, sdfg, unmapped, accel, ic, opts));
-    report.merge(verifyConfig(ldfg, config, accel, opts));
+    Report report = verifyLdfg(ldfg, accel.op_latency);
+    report.merge(verifyMapping(ldfg, sdfg, unmapped, accel, ic));
+    report.merge(verifyConfig(ldfg, config, accel));
     return report;
 }
 

@@ -30,30 +30,6 @@
 namespace mesa::verify
 {
 
-/** Verifier thresholds (warn-level rules only). */
-struct VerifyOptions
-{
-    /**
-     * Fallback-bus usage above this fraction of the graph is flagged
-     * (map.fallback-threshold). The controller's own abandon limit is
-     * MesaParams::max_unmapped_frac; the verifier warns earlier.
-     */
-    double fallback_warn_frac = 0.125;
-
-    /**
-     * Operand routes costing more than this many cycles on the
-     * active interconnect are flagged (map.long-route).
-     */
-    uint32_t max_edge_latency = 16;
-
-    /**
-     * Node latencies this many times above/below the static class
-     * default are noted (dfg.latency-skew); measured refresh drifts
-     * are expected, gross skew usually means a corrupted annotation.
-     */
-    double latency_skew_factor = 16.0;
-};
-
 /** One rule of the catalog (docs, mesa_lint --rules). */
 struct RuleInfo
 {
@@ -87,8 +63,7 @@ expandRulePatterns(const std::string &spec,
  * symmetric with the edges, latency annotations positive.
  */
 Report verifyLdfg(const dfg::Ldfg &ldfg,
-                  const dfg::OpLatencyConfig &lat_cfg = {},
-                  const VerifyOptions &opts = {});
+                  const dfg::OpLatencyConfig &lat_cfg = {});
 
 /**
  * Pass 2 — mapping legality: every placement within the grid, at most
@@ -103,8 +78,7 @@ Report verifyLdfg(const dfg::Ldfg &ldfg,
 Report verifyMapping(const dfg::Ldfg &ldfg, const dfg::Sdfg &sdfg,
                      const std::vector<dfg::NodeId> &unmapped,
                      const accel::AccelParams &accel,
-                     const ic::Interconnect &ic,
-                     const VerifyOptions &opts = {});
+                     const ic::Interconnect &ic);
 
 /**
  * Pass 3 — config round-trip: decode @p config back into a dataflow
@@ -117,16 +91,14 @@ Report verifyMapping(const dfg::Ldfg &ldfg, const dfg::Sdfg &sdfg,
  */
 Report verifyConfig(const dfg::Ldfg &ldfg,
                     const accel::AcceleratorConfig &config,
-                    const accel::AccelParams &accel,
-                    const VerifyOptions &opts = {});
+                    const accel::AccelParams &accel);
 
 /** All applicable passes merged into one report. */
 Report verifyPipeline(const dfg::Ldfg &ldfg, const dfg::Sdfg &sdfg,
                       const std::vector<dfg::NodeId> &unmapped,
                       const accel::AcceleratorConfig &config,
                       const accel::AccelParams &accel,
-                      const ic::Interconnect &ic,
-                      const VerifyOptions &opts = {});
+                      const ic::Interconnect &ic);
 
 } // namespace mesa::verify
 

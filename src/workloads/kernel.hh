@@ -55,6 +55,46 @@ struct Kernel
     std::function<void(riscv::ArchState &, uint64_t, uint64_t)>
         init_range;
 
+    /** Step bound on the preamble: program entry to loop_start. */
+    static constexpr uint64_t PreambleSteps = 1'000'000;
+
+    /** Write the dataset and the program image into @p memory. */
+    void
+    plant(mem::MainMemory &memory) const
+    {
+        if (init_data)
+            init_data(memory);
+        cpu::loadProgram(memory, program);
+    }
+
+    /**
+     * Enter the hot loop: reset @p emu at the program entry, apply
+     * @p init (the thread's iteration range) and step the preamble
+     * (bfs's level set-up, for example) until the pc reaches
+     * loop_start, at most PreambleSteps steps. Returns whether it got
+     * there; a program that halts first, or a preamble that outruns
+     * the bound, is a miss each caller reacts to in its own way.
+     */
+    bool
+    enterLoop(riscv::Emulator &emu, const cpu::ThreadInit &init) const
+    {
+        emu.reset(program.base_pc);
+        init(emu.state());
+        for (uint64_t steps = 0; steps < PreambleSteps &&
+                                 !emu.halted() &&
+                                 emu.state().pc != loop_start;
+             ++steps)
+            emu.step();
+        return !emu.halted() && emu.state().pc == loop_start;
+    }
+
+    /** enterLoop() over the full iteration space. */
+    bool
+    enterLoop(riscv::Emulator &emu) const
+    {
+        return enterLoop(emu, fullRange());
+    }
+
     /** ThreadInit covering the full iteration space. */
     cpu::ThreadInit
     fullRange() const

@@ -33,8 +33,7 @@ runReference(const workloads::Kernel &kernel,
              uint64_t max_steps = 50'000'000)
 {
     mem::MainMemory memory;
-    kernel.init_data(memory);
-    cpu::loadProgram(memory, kernel.program);
+    kernel.plant(memory);
 
     riscv::Emulator emu(memory);
     emu.reset(kernel.program.base_pc);
@@ -46,23 +45,6 @@ runReference(const workloads::Kernel &kernel,
     res.memory = memory.snapshot();
     res.instructions = emu.instret();
     return res;
-}
-
-/**
- * Step the emulator until it reaches the hot loop's entry point
- * (executes any pre-loop setup code, e.g. bfs's outer-level
- * preamble).
- */
-inline void
-advanceToLoop(riscv::Emulator &emu, const workloads::Kernel &kernel,
-              uint64_t max_steps = 1'000'000)
-{
-    uint64_t steps = 0;
-    while (!emu.halted() && emu.state().pc != kernel.loop_start &&
-           steps < max_steps) {
-        emu.step();
-        ++steps;
-    }
 }
 
 /**
@@ -82,15 +64,12 @@ runWithOffload(const workloads::Kernel &kernel,
                uint64_t max_steps = 50'000'000)
 {
     mem::MainMemory memory;
-    kernel.init_data(memory);
-    cpu::loadProgram(memory, kernel.program);
+    kernel.plant(memory);
 
     core::MesaController mesa(params, memory);
 
     riscv::Emulator emu(memory);
-    emu.reset(kernel.program.base_pc);
-    kernel.fullRange()(emu.state());
-    advanceToLoop(emu, kernel);
+    kernel.enterLoop(emu);
 
     OffloadRun run;
     run.stats = mesa.offloadLoop(kernel.loopBody(), emu.state(),

@@ -521,12 +521,9 @@ TEST(AbsintSuite, FootprintAndTripsSoundOnAllKernels)
             workloads::buildEntry(entry, workloads::SuiteScale{64});
 
         mem::MainMemory memory;
-        kernel.init_data(memory);
-        cpu::loadProgram(memory, kernel.program);
+        kernel.plant(memory);
         riscv::Emulator emu(memory);
-        emu.reset(kernel.program.base_pc);
-        kernel.fullRange()(emu.state());
-        test::advanceToLoop(emu, kernel);
+        kernel.enterLoop(emu);
         ASSERT_EQ(emu.state().pc, kernel.loop_start) << kernel.name;
 
         const auto body = kernel.loopBody();

@@ -270,8 +270,7 @@ TEST(AccelFeatures, EpochRunResumesCorrectly)
     params.enable_pipelining = false;
 
     mem::MainMemory memory;
-    kernel.init_data(memory);
-    cpu::loadProgram(memory, kernel.program);
+    kernel.plant(memory);
     core::MesaController mesa(params, memory);
 
     riscv::Emulator emu(memory);
@@ -303,8 +302,7 @@ TEST(AccelFeatures, MeasuredCountersPopulated)
     const Kernel kernel = kernelByName("nn", {256});
     MesaParams params = baseParams();
     mem::MainMemory memory;
-    kernel.init_data(memory);
-    cpu::loadProgram(memory, kernel.program);
+    kernel.plant(memory);
     core::MesaController mesa(params, memory);
 
     riscv::Emulator emu(memory);

@@ -104,8 +104,7 @@ TEST(Controller, ConfigCacheHitsOnReencounter)
 {
     const Kernel kernel = kernelByName("gaussian", {512});
     mem::MainMemory memory;
-    kernel.init_data(memory);
-    cpu::loadProgram(memory, kernel.program);
+    kernel.plant(memory);
     MesaParams params;
     MesaController mesa(params, memory);
 
@@ -138,8 +137,7 @@ TEST(Controller, IterativeOptimizationImprovesModel)
     // weight and can trigger a data-driven remap.
     const Kernel kernel = kernelByName("lud", {2048});
     mem::MainMemory memory;
-    kernel.init_data(memory);
-    cpu::loadProgram(memory, kernel.program);
+    kernel.plant(memory);
 
     MesaParams params;
     params.iterative_optimization = true;
@@ -166,8 +164,7 @@ TEST(Controller, ReconfigurationCostAccounted)
 {
     const Kernel kernel = kernelByName("lud", {4096});
     mem::MainMemory memory;
-    kernel.init_data(memory);
-    cpu::loadProgram(memory, kernel.program);
+    kernel.plant(memory);
 
     MesaParams params;
     params.iterative_optimization = true;

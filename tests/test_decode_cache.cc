@@ -29,8 +29,7 @@ runKernel(const workloads::Kernel &kernel, bool decode_cache,
           uint64_t max_steps = 50'000'000)
 {
     mem::MainMemory memory;
-    kernel.init_data(memory);
-    cpu::loadProgram(memory, kernel.program);
+    kernel.plant(memory);
 
     Emulator emu(memory);
     emu.setDecodeCache(decode_cache);

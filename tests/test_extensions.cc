@@ -50,13 +50,10 @@ TEST(TimeMultiplex, SradQualifiesOnM64WithFolding)
     {
         // Paper behaviour: C1 rejects the loop outright.
         mem::MainMemory memory;
-        kernel.init_data(memory);
-        cpu::loadProgram(memory, kernel.program);
+        kernel.plant(memory);
         core::MesaController mesa(off, memory);
         riscv::Emulator emu(memory);
-        emu.reset(kernel.program.base_pc);
-        kernel.fullRange()(emu.state());
-        advanceToLoop(emu, kernel);
+        kernel.enterLoop(emu);
         EXPECT_FALSE(mesa.offloadLoop(kernel.loopBody(), emu.state(),
                                       kernel.parallel)
                          .has_value());

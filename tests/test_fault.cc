@@ -47,16 +47,13 @@ park(const Kernel &kernel, const core::MesaParams &params,
      StatsRegistry *stats = nullptr)
 {
     ParkedRun run;
-    kernel.init_data(run.memory);
-    cpu::loadProgram(run.memory, kernel.program);
+    kernel.plant(run.memory);
     run.mesa =
         std::make_unique<core::MesaController>(params, run.memory);
     if (stats)
         run.mesa->attachStats(stats);
     run.emu = std::make_unique<riscv::Emulator>(run.memory);
-    run.emu->reset(kernel.program.base_pc);
-    kernel.fullRange()(run.emu->state());
-    advanceToLoop(*run.emu, kernel);
+    kernel.enterLoop(*run.emu);
     return run;
 }
 
@@ -216,12 +213,9 @@ TEST(Checkpoint, RestoreUndoesRegisterAndMemoryCorruption)
     const auto golden = runReference(kernel);
 
     mem::MainMemory memory;
-    kernel.init_data(memory);
-    cpu::loadProgram(memory, kernel.program);
+    kernel.plant(memory);
     riscv::Emulator emu(memory);
-    emu.reset(kernel.program.base_pc);
-    kernel.fullRange()(emu.state());
-    advanceToLoop(emu, kernel);
+    kernel.enterLoop(emu);
 
     const auto ckpt = fault::Checkpoint::capture(emu.state(), memory);
 
@@ -509,12 +503,9 @@ TEST(PermanentFault, SelfTestQuarantinesAndRemapsAwayFromStuckPe)
 
     // ...and a fresh encounter of the region maps around it and runs
     // cleanly on the degraded array.
-    kernel.init_data(run.memory);
-    cpu::loadProgram(run.memory, kernel.program);
+    kernel.plant(run.memory);
     riscv::Emulator emu2(run.memory);
-    emu2.reset(kernel.program.base_pc);
-    kernel.fullRange()(emu2.state());
-    advanceToLoop(emu2, kernel);
+    kernel.enterLoop(emu2);
     auto os2 = run.mesa->offloadLoop(kernel.loopBody(), emu2.state(),
                                      kernel.parallel);
     ASSERT_TRUE(os2.has_value());
@@ -536,8 +527,7 @@ TEST(SchedulerFault, QuarantinedPartitionTakesNoSlices)
 {
     const Kernel kernel = kernelByName("nn", {512});
     mem::MainMemory memory;
-    kernel.init_data(memory);
-    cpu::loadProgram(memory, kernel.program);
+    kernel.plant(memory);
 
     sched::SchedParams sp;
     sp.mesa.accel = accel::AccelParams::m128();
@@ -553,9 +543,7 @@ TEST(SchedulerFault, QuarantinedPartitionTakesNoSlices)
     std::vector<std::unique_ptr<riscv::Emulator>> emus;
     for (const auto &chunk : kernel.chunks(2)) {
         auto emu = std::make_unique<riscv::Emulator>(memory);
-        emu->reset(kernel.program.base_pc);
-        chunk(emu->state());
-        advanceToLoop(*emu, kernel);
+        kernel.enterLoop(*emu, chunk);
         ASSERT_GE(sched.submit(kernel.loopBody(), emu->state(),
                                kernel.parallel),
                   0);
@@ -575,8 +563,7 @@ TEST(SchedulerFault, AllWaysDegradedRefusesSubmission)
 {
     const Kernel kernel = kernelByName("nn", {128});
     mem::MainMemory memory;
-    kernel.init_data(memory);
-    cpu::loadProgram(memory, kernel.program);
+    kernel.plant(memory);
 
     sched::SchedParams sp;
     sp.mesa.accel = accel::AccelParams::m128();
@@ -590,9 +577,7 @@ TEST(SchedulerFault, AllWaysDegradedRefusesSubmission)
     EXPECT_EQ(sched.healthyWays(), 0);
 
     riscv::Emulator emu(memory);
-    emu.reset(kernel.program.base_pc);
-    kernel.fullRange()(emu.state());
-    advanceToLoop(emu, kernel);
+    kernel.enterLoop(emu);
     EXPECT_EQ(sched.submit(kernel.loopBody(), emu.state(),
                            kernel.parallel),
               -1);

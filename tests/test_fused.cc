@@ -124,8 +124,7 @@ TEST(Fused, MonitorRejectsViaC2)
 {
     const auto kernel = makeFusedKernel(2048);
     mem::MainMemory memory;
-    kernel.init_data(memory);
-    cpu::loadProgram(memory, kernel.program);
+    kernel.plant(memory);
 
     Emulator emu(memory);
     emu.reset(kernel.program.base_pc);

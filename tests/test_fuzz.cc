@@ -369,8 +369,7 @@ verifierFuzzCase(uint32_t seed, int axis)
     out.cert_json = w.str();
 
     mem::MainMemory memory;
-    gen.kernel.init_data(memory);
-    cpu::loadProgram(memory, gen.kernel.program);
+    gen.kernel.plant(memory);
     riscv::Emulator emu(memory);
     emu.reset(gen.kernel.program.base_pc);
     gen.kernel.fullRange()(emu.state());

@@ -55,12 +55,9 @@ startOffload(const Kernel &kernel, const accel::AccelParams &src_params,
              uint64_t source_iterations)
 {
     LiveOffload live;
-    kernel.init_data(live.memory);
-    cpu::loadProgram(live.memory, kernel.program);
+    kernel.plant(live.memory);
     live.emu = std::make_unique<riscv::Emulator>(live.memory);
-    live.emu->reset(kernel.program.base_pc);
-    kernel.fullRange()(live.emu->state());
-    advanceToLoop(*live.emu, kernel);
+    kernel.enterLoop(*live.emu);
 
     live.body = kernel.loopBody();
     const ic::AccelNocInterconnect noc(src_params.rows, src_params.cols,
@@ -385,15 +382,12 @@ TEST(Drain, ControllerRelocatesHungOffloadAndRecovers)
 
     StatsRegistry stats;
     mem::MainMemory memory;
-    kernel.init_data(memory);
-    cpu::loadProgram(memory, kernel.program);
+    kernel.plant(memory);
     core::MesaController mesa(params, memory);
     mesa.attachStats(&stats);
 
     riscv::Emulator emu(memory);
-    emu.reset(kernel.program.base_pc);
-    kernel.fullRange()(emu.state());
-    advanceToLoop(emu, kernel);
+    kernel.enterLoop(emu);
 
     accel::FaultPlane plane;
     plane.stuck_branches.push_back({4});

@@ -196,8 +196,7 @@ TEST(MonitorEdges, TraceCachePartialFillBackfills)
     // branch) leaves trace-cache holes; backfill must complete it.
     const auto kernel = workloads::makeBfs(4096);
     mem::MainMemory memory;
-    kernel.init_data(memory);
-    cpu::loadProgram(memory, kernel.program);
+    kernel.plant(memory);
 
     riscv::Emulator emu(memory);
     emu.reset(kernel.program.base_pc);

@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <unistd.h>
 
@@ -44,17 +45,14 @@ PersistRun
 runOnce(const workloads::Kernel &kernel, const core::MesaParams &params)
 {
     mem::MainMemory memory;
-    kernel.init_data(memory);
-    cpu::loadProgram(memory, kernel.program);
+    kernel.plant(memory);
 
     core::MesaController mesa(params, memory);
     StatsRegistry reg;
     mesa.attachStats(&reg);
 
     riscv::Emulator emu(memory);
-    emu.reset(kernel.program.base_pc);
-    kernel.fullRange()(emu.state());
-    test::advanceToLoop(emu, kernel);
+    kernel.enterLoop(emu);
 
     PersistRun out;
     out.run.stats = mesa.offloadLoop(kernel.loopBody(), emu.state(),
@@ -90,6 +88,61 @@ expectSameRun(const test::OffloadRun &a, const test::OffloadRun &b)
         EXPECT_EQ(a.state.f[size_t(i)], b.state.f[size_t(i)]) << "f" << i;
     }
     EXPECT_TRUE(test::sameMemory(a.memory, b.memory));
+}
+
+// Field offsets in a format-1 entry: magic, version and the 21-byte
+// key echo, then the LDFG's u64 node count and its first node (an
+// instruction of 20 bytes — op first — then the node id and src1).
+constexpr ptrdiff_t HeaderBytes = 4 + 4 + 21;
+constexpr ptrdiff_t FirstNodeOp = HeaderBytes + 8;
+constexpr ptrdiff_t FirstNodeSrc1 = FirstNodeOp + 20 + 4;
+// A certificate ends the entry: trip.ind_base, first (8), step (8),
+// bound_base (4), bound_off (8), per_iter_cycle_bound (8), then the
+// 4-byte file CRC.
+constexpr ptrdiff_t IndBase = -(4 + 8 + 8 + 4 + 8 + 8 + 4);
+
+/** The key an entry file echoes in its header. */
+core::TranslationKey
+keyOf(const std::string &bytes)
+{
+    core::TranslationKey key;
+    BinaryReader in(bytes.data() + 8, bytes.size() - 8);
+    in(key.region_start, key.region_end, key.body_tag, key.params_crc,
+       key.blocked_crc, key.parallel_hint);
+    return key;
+}
+
+/** Byte offsets of the LDFG fields the tamper rows rewrite. */
+struct LdfgLayout
+{
+    std::vector<size_t> live_in1; ///< Each node's first live-in.
+    size_t live_ins = 0;          ///< The live-in set's first entry.
+};
+
+/** Walk an entry's LDFG: per node, the instruction and seven i32
+ *  fields (id, src1, src2, live_in1, live_in2, prev_dest_writer,
+ *  prev_dest_live_in), the guard and consumer lists (a u64 count,
+ *  then i32s) and three f64 latencies; then the live-in set. */
+LdfgLayout
+ldfgLayout(const std::string &bytes)
+{
+    const auto u64At = [&](size_t at) {
+        uint64_t v = 0;
+        BinaryReader(bytes.data() + at, 8)(v);
+        return v;
+    };
+    LdfgLayout out;
+    const uint64_t nodes = u64At(HeaderBytes);
+    size_t at = HeaderBytes + 8;
+    for (uint64_t i = 0; i < nodes; ++i) {
+        out.live_in1.push_back(at + 20 + 3 * 4);
+        at += 20 + 7 * 4;
+        for (int list = 0; list < 2; ++list)
+            at += 8 + 4 * u64At(at);
+        at += 3 * 8;
+    }
+    out.live_ins = at + 8;
+    return out;
 }
 
 /** Every test gets a private store directory; the global store is
@@ -162,27 +215,29 @@ class PersistTest : public ::testing::Test
         bytes[bytes.size() - 1] = char(crc >> 24);
     }
 
-    /** Overwrite the i32 at @p offset (from the end when negative) of
-     *  the only entry, refreshing its CRC, and expect the next run to
-     *  reject the entry as corrupt and translate cold, exactly as
-     *  before. */
+    /** Apply @p tamper to the only entry and refresh its CRC. A fresh
+     *  load() must refuse the entry as corrupt, and the next run must
+     *  translate cold, exactly as before. */
     void
-    expectIndexRejected(const workloads::Kernel &kernel,
-                        const core::MesaParams &params, ptrdiff_t offset,
-                        int32_t value)
+    expectRejected(const workloads::Kernel &kernel,
+                   const core::MesaParams &params,
+                   const std::function<void(std::string &)> &tamper)
     {
         enableStore();
         const PersistRun cold = runOnce(kernel, params);
         const auto files = cacheFiles();
         ASSERT_EQ(files.size(), 1u);
         std::string bytes = readFile(files[0]);
-        const size_t at = offset >= 0 ? size_t(offset)
-                                      : bytes.size() - size_t(-offset);
-        ASSERT_LT(at + 4, bytes.size());
-        for (size_t i = 0; i < 4; ++i)
-            bytes[at + i] = char(uint32_t(value) >> (8 * i));
+        tamper(bytes);
         refreshCrc(bytes);
         writeFile(files[0], bytes);
+
+        // Checked before any run trusts the entry.
+        auto &store = core::TranslationStore::global();
+        store.setDirectory(dir_.string()); // drop the memo: read disk
+        core::PreparedRegion prep;
+        ASSERT_EQ(store.load(keyOf(bytes), prep),
+                  core::PersistOutcome::Corrupt);
 
         const PersistRun recovered = runOnce(kernel, params);
         expectSameRun(cold.run, recovered.run);
@@ -190,30 +245,24 @@ class PersistTest : public ::testing::Test
         EXPECT_EQ(recovered.stats.at("mesa.cache.persist_hits"), 0.0);
     }
 
+    /** expectRejected() for an i32 set to @p value at @p offset (from
+     *  the end when negative). */
+    void
+    expectIndexRejected(const workloads::Kernel &kernel,
+                        const core::MesaParams &params, ptrdiff_t offset,
+                        int32_t value)
+    {
+        expectRejected(kernel, params, [&](std::string &bytes) {
+            const size_t at = offset >= 0 ? size_t(offset)
+                                          : bytes.size() - size_t(-offset);
+            ASSERT_LT(at + 4, bytes.size());
+            for (size_t i = 0; i < 4; ++i)
+                bytes[at + i] = char(uint32_t(value) >> (8 * i));
+        });
+    }
+
     fs::path dir_;
 };
-
-// Field offsets in a format-1 entry: magic, version and the 21-byte
-// key echo, then the LDFG's u64 node count and its first node (an
-// instruction of 20 bytes — op first — then the node id and src1).
-constexpr ptrdiff_t HeaderBytes = 4 + 4 + 21;
-constexpr ptrdiff_t FirstNodeOp = HeaderBytes + 8;
-constexpr ptrdiff_t FirstNodeSrc1 = FirstNodeOp + 20 + 4;
-// A certificate ends the entry: trip.ind_base, first (8), step (8),
-// bound_base (4), bound_off (8), per_iter_cycle_bound (8), then the
-// 4-byte file CRC.
-constexpr ptrdiff_t IndBase = -(4 + 8 + 8 + 4 + 8 + 8 + 4);
-
-/** The key an entry file echoes in its header. */
-core::TranslationKey
-keyOf(const std::string &bytes)
-{
-    core::TranslationKey key;
-    BinaryReader in(bytes.data() + 8, bytes.size() - 8);
-    in(key.region_start, key.region_end, key.body_tag, key.params_crc,
-       key.blocked_crc, key.parallel_hint);
-    return key;
-}
 
 /** Store @p kernel's loop translated around @p blocked PEs, as a
  *  relocation after a self test would, and return its key. */
@@ -444,6 +493,29 @@ TEST_F(PersistTest, OpPastNumOpsIsCorrupt)
 {
     expectIndexRejected(workloads::makeNn(256), core::MesaParams{},
                         FirstNodeOp, int32_t(riscv::Op::NumOps));
+}
+
+// In-range LDFG tampering: every index stays in bounds, so only the
+// verifier's rename replay can tell the graph from its instructions.
+
+TEST_F(PersistTest, LdfgLiveInWiringFlipIsCorrupt)
+{
+    // Node 9 names another register as its first live-in.
+    expectRejected(workloads::makeNn(256), core::MesaParams{},
+                   [](std::string &bytes) {
+                       const size_t at = ldfgLayout(bytes).live_in1.at(9);
+                       bytes[at] ^= 0x01;
+                   });
+}
+
+TEST_F(PersistTest, LdfgLiveInSetFlipIsCorrupt)
+{
+    // The live-in set holds another register.
+    expectRejected(workloads::makeNn(256), core::MesaParams{},
+                   [](std::string &bytes) {
+                       const size_t at = ldfgLayout(bytes).live_ins;
+                       bytes[at] ^= 0x01;
+                   });
 }
 
 TEST_F(PersistTest, MutatedEntriesFailClosed)

@@ -89,8 +89,7 @@ cpuCycles(const Kernel &kernel, const cpu::CoreParams &core,
           const mem::HierarchyParams &mem_params = {})
 {
     mem::MainMemory memory;
-    kernel.init_data(memory);
-    cpu::loadProgram(memory, kernel.program);
+    kernel.plant(memory);
     return cpu::runSingleCore(core, mem_params, memory, kernel.program,
                               kernel.fullRange())
         .cycles;

@@ -32,14 +32,11 @@ struct PreparedTenant
 std::vector<PreparedTenant>
 prepare(const Kernel &kernel, mem::MainMemory &memory, int n)
 {
-    kernel.init_data(memory);
-    cpu::loadProgram(memory, kernel.program);
+    kernel.plant(memory);
     std::vector<PreparedTenant> out;
     for (const auto &chunk : kernel.chunks(n)) {
         auto emu = std::make_unique<riscv::Emulator>(memory);
-        emu->reset(kernel.program.base_pc);
-        chunk(emu->state());
-        advanceToLoop(*emu, kernel);
+        kernel.enterLoop(*emu, chunk);
         out.push_back({std::move(emu)});
     }
     return out;
@@ -218,8 +215,7 @@ TEST(Scheduler, ControllerRoutesOffloadsThroughArbiter)
     const GoldenResult want = runReference(kernel);
 
     mem::MainMemory memory;
-    kernel.init_data(memory);
-    cpu::loadProgram(memory, kernel.program);
+    kernel.plant(memory);
 
     core::MesaParams params;
     core::MesaController mesa(params, memory);
@@ -227,9 +223,7 @@ TEST(Scheduler, ControllerRoutesOffloadsThroughArbiter)
     mesa.setOffloadArbiter(&sched, /*tenant=*/7, /*priority=*/1);
 
     riscv::Emulator emu(memory);
-    emu.reset(kernel.program.base_pc);
-    kernel.fullRange()(emu.state());
-    advanceToLoop(emu, kernel);
+    kernel.enterLoop(emu);
     const auto os =
         mesa.offloadLoop(kernel.loopBody(), emu.state(), false);
     emu.run(50'000'000);

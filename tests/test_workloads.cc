@@ -66,8 +66,7 @@ TEST_P(SuiteKernels, ChunksReproduceSequentialResult)
     const GoldenResult want = runReference(k);
 
     mem::MainMemory memory;
-    k.init_data(memory);
-    cpu::loadProgram(memory, k.program);
+    k.plant(memory);
     for (const auto &init : k.chunks(8)) {
         riscv::Emulator emu(memory);
         emu.reset(k.program.base_pc);
@@ -111,8 +110,7 @@ TEST(Suite, NnComputesEuclideanDistance)
 {
     const Kernel k = workloads::makeNn(64);
     mem::MainMemory memory;
-    k.init_data(memory);
-    cpu::loadProgram(memory, k.program);
+    k.plant(memory);
     riscv::Emulator emu(memory);
     emu.reset(k.program.base_pc);
     k.fullRange()(emu.state());
@@ -131,8 +129,7 @@ TEST(Suite, PathfinderComputesMinPlusCost)
 {
     const Kernel k = workloads::makePathfinder(64);
     mem::MainMemory memory;
-    k.init_data(memory);
-    cpu::loadProgram(memory, k.program);
+    k.plant(memory);
 
     // Host reference for element 7.
     const uint32_t p0 = memory.read32(0x00100000 + 4 * 7);
@@ -152,8 +149,7 @@ TEST(Suite, BfsMarksReachableNodes)
 {
     const Kernel k = workloads::makeBfs(256);
     mem::MainMemory memory;
-    k.init_data(memory);
-    cpu::loadProgram(memory, k.program);
+    k.plant(memory);
     riscv::Emulator emu(memory);
     emu.reset(k.program.base_pc);
     k.fullRange()(emu.state());
@@ -170,8 +166,7 @@ TEST(Suite, HeartwallComputesNormalizedCorrelation)
 {
     const Kernel k = workloads::makeHeartwall(64);
     mem::MainMemory memory;
-    k.init_data(memory);
-    cpu::loadProgram(memory, k.program);
+    k.plant(memory);
 
     // Host reference for element 9.
     const float f = memory.readFloat(0x00100000 + 4 * 9) - 127.5f;
@@ -189,8 +184,7 @@ TEST(Suite, LeukocyteComputesDirectionalDerivative)
 {
     const Kernel k = workloads::makeLeukocyte(64);
     mem::MainMemory memory;
-    k.init_data(memory);
-    cpu::loadProgram(memory, k.program);
+    k.plant(memory);
 
     const float gx = memory.readFloat(0x00100000 + 8 * 3);
     const float gy = memory.readFloat(0x00100000 + 8 * 3 + 4);
@@ -211,8 +205,7 @@ TEST(Suite, GaussianEliminatesRow)
 {
     const Kernel k = workloads::makeGaussian(64);
     mem::MainMemory memory;
-    k.init_data(memory);
-    cpu::loadProgram(memory, k.program);
+    k.plant(memory);
 
     const float a5 = memory.readFloat(0x00100000 + 4 * 5);
     const float b5 = memory.readFloat(0x00200000 + 4 * 5);
@@ -229,8 +222,7 @@ TEST(Suite, HotspotStencilMatchesHostMath)
 {
     const Kernel k = workloads::makeHotspot(64);
     mem::MainMemory memory;
-    k.init_data(memory);
-    cpu::loadProgram(memory, k.program);
+    k.plant(memory);
 
     const uint32_t T = 0x00100000, P = 0x00200000;
     const int i = 7; // interior element (offset by padding)
@@ -251,8 +243,7 @@ TEST(Suite, BackpropAccumulatesDotProduct)
 {
     const Kernel k = workloads::makeBackprop(128);
     mem::MainMemory memory;
-    k.init_data(memory);
-    cpu::loadProgram(memory, k.program);
+    k.plant(memory);
 
     float want = 0.0f;
     for (int i = 0; i < 128; ++i) {
