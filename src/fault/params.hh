@@ -62,7 +62,12 @@ struct FaultToleranceParams
      * memory always ends at the golden result -- the skip can never
      * admit a silent corruption). Offloads with a proven trip count
      * run under a certificate-derived watchdog budget, tightening
-     * watchdog_cycles when the proof allows.
+     * watchdog_cycles when the proof allows. Each gated offload
+     * records mesa.absint.* counters and a certificate trace event.
+     *
+     * The iteration watchdog is not gated: every fault-mode offload
+     * with a proven trip count runs under it, so a hang is detected
+     * after at most that many iterations.
      */
     bool certificate_gating = false;
 

@@ -18,6 +18,7 @@
 #include <map>
 #include <unistd.h>
 
+#include "accel/fault_plane.hh"
 #include "interconnect/interconnect.hh"
 #include "mesa/translate.hh"
 #include "mesa/translation_store.hh"
@@ -42,7 +43,8 @@ struct PersistRun
 };
 
 PersistRun
-runOnce(const workloads::Kernel &kernel, const core::MesaParams &params)
+runOnce(const workloads::Kernel &kernel, const core::MesaParams &params,
+        const accel::FaultPlane &faults = {})
 {
     mem::MainMemory memory;
     kernel.plant(memory);
@@ -50,6 +52,7 @@ runOnce(const workloads::Kernel &kernel, const core::MesaParams &params)
     core::MesaController mesa(params, memory);
     StatsRegistry reg;
     mesa.attachStats(&reg);
+    mesa.accelerator().injectFaults(faults);
 
     riscv::Emulator emu(memory);
     kernel.enterLoop(emu);
@@ -321,6 +324,50 @@ TEST_F(PersistTest, WarmRunMatchesColdAndUncached)
     // Without a store directory the persist counters are not even
     // registered — the stats surface is byte-identical to before.
     EXPECT_EQ(plain.stats.count("mesa.cache.persist_hits"), 0u);
+}
+
+TEST_F(PersistTest, CertificateLessEntryMatchesColdTranslation)
+{
+    // Fault mode without certificate gating once stored entries with
+    // no certificate under the same file name. A hit on such an entry
+    // derives the certificate as a cold translation does, so a hung
+    // offload is still cut at its proven trip count.
+    const auto kernel = workloads::makeHotspot(256);
+    core::MesaParams params;
+    params.fault.enabled = true;
+    params.fault.watchdog_cycles = 20'000;
+    accel::FaultPlane hang;
+    hang.stuck_branches.push_back({4});
+
+    const PersistRun plain = runOnce(kernel, params, hang); // no store
+    ASSERT_TRUE(plain.run.stats.has_value());
+    EXPECT_TRUE(plain.run.stats->trip_watchdog);
+
+    enableStore();
+    runOnce(kernel, params, hang);
+    const auto files = cacheFiles();
+    ASSERT_EQ(files.size(), 1u);
+    auto &store = core::TranslationStore::global();
+    const core::TranslationKey key = keyOf(readFile(files[0]));
+    core::PreparedRegion prep;
+    store.setDirectory(dir_.string()); // drop the memo: read disk
+    ASSERT_EQ(store.load(key, prep), core::PersistOutcome::Hit);
+    ASSERT_NE(prep.cert, nullptr);
+    prep.cert = nullptr;
+    ASSERT_EQ(store.store(key, prep), core::PersistOutcome::Stored);
+    store.setDirectory(dir_.string());
+    ASSERT_EQ(store.load(key, prep), core::PersistOutcome::Hit);
+    ASSERT_EQ(prep.cert, nullptr);
+
+    store.setDirectory(dir_.string());
+    const PersistRun warm = runOnce(kernel, params, hang);
+    EXPECT_EQ(warm.stats.at("mesa.cache.persist_hits"), 1.0);
+    expectSameRun(plain.run, warm.run);
+    ASSERT_TRUE(warm.run.stats.has_value());
+    EXPECT_EQ(warm.run.stats->trip_watchdog, plain.run.stats->trip_watchdog);
+    EXPECT_EQ(warm.run.stats->cpu_reexec_instructions,
+              plain.run.stats->cpu_reexec_instructions);
+    EXPECT_EQ(warm.run.stats->fallback, plain.run.stats->fallback);
 }
 
 TEST_F(PersistTest, TruncatedFileFallsBackColdAndHeals)
