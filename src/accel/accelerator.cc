@@ -67,8 +67,8 @@ Accelerator::configure(const AcceleratorConfig &config)
     instances_.clear();
     instances_.resize(config_.instances.size());
     for (auto &inst : instances_) {
-        inst.lsu = std::make_unique<mem::LoadStoreUnit>(*memory_,
-                                                        hierarchy_, ports_);
+        inst.lsu = std::make_unique<mem::LoadStoreUnit>(
+            *memory_, hierarchy_, ports_, config_.slots.size());
     }
     // Flat per-PE busy table: mapped slots key by virtual position,
     // unmapped slots get one private key each past the mapped range.

@@ -27,8 +27,9 @@ PortPool::acquire(uint64_t request_cycle)
 }
 
 LoadStoreUnit::LoadStoreUnit(MainMemory &mem, MemHierarchy &hierarchy,
-                             PortPool &ports)
-    : mem_(mem), hierarchy_(hierarchy), ports_(ports)
+                             PortPool &ports, size_t entries)
+    : mem_(mem), hierarchy_(hierarchy), ports_(ports),
+      entry_amat_(entries)
 {
 }
 
@@ -38,14 +39,6 @@ LoadStoreUnit::beginIteration()
     store_buffer_.clear();
     store_lo_ = UINT64_MAX;
     store_hi_ = 0;
-}
-
-CycleAverage &
-LoadStoreUnit::amatFor(unsigned seq)
-{
-    if (seq >= entry_amat_.size())
-        entry_amat_.resize(size_t(seq) + 1);
-    return entry_amat_[seq];
 }
 
 uint32_t
@@ -119,7 +112,7 @@ LoadStoreUnit::load(unsigned seq, uint32_t addr, Op op,
         if (ready_cycle < hit->ready_cycle)
             ++invalidations_, result.invalidated = true;
         result.done_cycle = std::max(ready_cycle, hit->ready_cycle) + 1;
-        amatFor(seq).sample(result.done_cycle - ready_cycle);
+        entry_amat_[seq].sample(result.done_cycle - ready_cycle);
         return result;
     }
 
@@ -147,7 +140,7 @@ LoadStoreUnit::load(unsigned seq, uint32_t addr, Op op,
     }
     result.value = value;
     result.done_cycle = issue + latency;
-    amatFor(seq).sample(result.done_cycle - ready_cycle);
+    entry_amat_[seq].sample(result.done_cycle - ready_cycle);
     return result;
 }
 
@@ -220,7 +213,7 @@ LoadStoreUnit::store(unsigned seq, uint32_t addr, uint32_t value, Op op,
         (op == Op::Sb) ? 1 : (op == Op::Sh) ? 2 : 4;
     store_lo_ = std::min(store_lo_, uint64_t(addr));
     store_hi_ = std::max(store_hi_, uint64_t(addr) + width - 1);
-    amatFor(seq).sample(1);
+    entry_amat_[seq].sample(1);
 }
 
 uint64_t
@@ -248,8 +241,6 @@ LoadStoreUnit::commitStores()
 double
 LoadStoreUnit::entryAmat(unsigned seq) const
 {
-    // An entry that never sampled reports 0.0, exactly as the absent
-    // key did in the former keyed map.
     return seq < entry_amat_.size() ? entry_amat_[seq].mean() : 0.0;
 }
 
@@ -272,7 +263,7 @@ LoadStoreUnit::resetStats()
     stores_.reset();
     forwards_.reset();
     invalidations_.reset();
-    entry_amat_.clear();
+    std::fill(entry_amat_.begin(), entry_amat_.end(), CycleAverage{});
 }
 
 } // namespace mesa::mem

@@ -77,8 +77,10 @@ struct LoadResult
 class LoadStoreUnit
 {
   public:
+    /** @param entries one past the largest LDFG seq the unit will
+     *         see (the configuration's slot count) */
     LoadStoreUnit(MainMemory &mem, MemHierarchy &hierarchy,
-                  PortPool &ports);
+                  PortPool &ports, size_t entries);
 
     /** Clear per-iteration store buffer state. */
     void beginIteration();
@@ -118,7 +120,8 @@ class LoadStoreUnit
      */
     uint64_t commitStores();
 
-    /** Per-entry average memory access time (feeds DFG node weights). */
+    /** Per-entry average memory access time: a load's completion
+     *  minus its ready cycle, 1 for a buffered store. */
     double entryAmat(unsigned seq) const;
 
     /** Average over all entries. */
@@ -161,10 +164,10 @@ class LoadStoreUnit
      *  space does not wrap. */
     uint64_t store_lo_ = UINT64_MAX;
     uint64_t store_hi_ = 0;
-    /** Per-entry latency averages indexed by LDFG seq (dense, small). */
+    /** Per-entry latency averages indexed by LDFG seq, sized once
+     *  for the configuration, so an access samples without a bounds
+     *  check or a resize. */
     std::vector<CycleAverage> entry_amat_;
-
-    CycleAverage &amatFor(unsigned seq);
 
     Counter loads_{"loads"};
     Counter stores_{"stores"};

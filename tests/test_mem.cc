@@ -532,7 +532,7 @@ struct LsuFixture : ::testing::Test
     MainMemory memory;
     MemHierarchy hierarchy;
     PortPool ports{2};
-    LoadStoreUnit lsu{memory, hierarchy, ports};
+    LoadStoreUnit lsu{memory, hierarchy, ports, 16};
 };
 
 TEST_F(LsuFixture, StoreLoadForwardingSameIteration)

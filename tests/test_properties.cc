@@ -163,7 +163,7 @@ TEST(LsuProperties, RandomProgramOrderMatchesOracle)
         mem::MainMemory real, oracle;
         mem::MemHierarchy hierarchy;
         mem::PortPool ports(2);
-        mem::LoadStoreUnit lsu(real, hierarchy, ports);
+        mem::LoadStoreUnit lsu(real, hierarchy, ports, 40);
         lsu.beginIteration();
 
         // A random interleaving of stores and loads in program order;
